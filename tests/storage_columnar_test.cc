@@ -409,5 +409,85 @@ TEST(ColumnarLzTest, ForgedDistanceAndLengthAreCorruption) {
             StatusCode::kCorruption);
 }
 
+/// The columns of one trajectory block in the EventStore writer's layout
+/// (per trajectory: id, object, dictionary id, rows; per row: cell,
+/// transition, start, duration, stay and transition dictionary ids),
+/// over 2000 seeded visits of 2-6 stays, bitpacked or as varints.
+std::string TrajectoryBlock(bool packed) {
+  std::uint64_t state = 0x5eed5eedull;
+  std::vector<std::int64_t> ids, objects, cells, transitions, starts;
+  std::vector<std::uint64_t> traj_dicts, rows, durations, stays, moves;
+  std::int64_t clock = 1700000000;
+  for (int t = 0; t < 2000; ++t) {
+    ids.push_back(t + 1);
+    objects.push_back(1 + t / 3 +
+                      static_cast<std::int64_t>(NextRand(state) % 2));
+    traj_dicts.push_back(NextRand(state) % 2);
+    const std::uint64_t n = 2 + NextRand(state) % 5;
+    rows.push_back(n);
+    clock += static_cast<std::int64_t>(NextRand(state) % 600);
+    std::int64_t at = clock;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      cells.push_back(1 + static_cast<std::int64_t>(NextRand(state) % 60));
+      transitions.push_back(
+          r == 0 ? -1 : static_cast<std::int64_t>(NextRand(state) % 90));
+      const std::uint64_t stay = 30 + NextRand(state) % 1800;
+      starts.push_back(at);
+      durations.push_back(stay);
+      at += static_cast<std::int64_t>(stay) + 1;
+      stays.push_back(2 + NextRand(state) % 4);
+      moves.push_back(r == 0 ? 0 : 6 + NextRand(state) % 2);
+    }
+  }
+  std::string block;
+  const auto put_delta = packed ? PutPackedDeltaColumn : PutDeltaColumn;
+  const auto put_unsigned = packed ? PutPackedColumn : PutVarintColumn;
+  put_delta(block, ids);
+  put_delta(block, objects);
+  put_unsigned(block, traj_dicts);
+  put_unsigned(block, rows);
+  put_delta(block, cells);
+  if (packed) {
+    PutPackedSignedColumn(block, transitions);
+  } else {
+    for (const std::int64_t t : transitions) PutSVarint64(block, t);
+  }
+  put_delta(block, starts);
+  put_unsigned(block, durations);
+  put_unsigned(block, stays);
+  put_unsigned(block, moves);
+  return block;
+}
+
+TEST(ColumnarLzTest, CompressedBytesMatchPinnedGoldens) {
+  // The LZ parse (hash chains, lazy matching, nearest-wins ties) is part
+  // of the v3 file format's bytes: a faster matcher must emit exactly
+  // these streams. FNV-1a of the compressed output over fixed corpora.
+  std::string random(1 << 16, '\0');
+  std::uint64_t state = 0x0123456789abcdefull;
+  for (auto& c : random) c = static_cast<char>(NextRand(state) & 0xff);
+  struct Golden {
+    const char* name;
+    std::string input;
+    std::uint64_t checksum;
+  };
+  const Golden goldens[] = {
+      {"zero run", std::string(200000, '\0'), 0xac2c9e3ef52417caull},
+      {"seeded random", random, 0x44d0b010e381fcf2ull},
+      {"packed block", TrajectoryBlock(/*packed=*/true), 0x27e8319320dcdb2bull},
+      {"raw block", TrajectoryBlock(/*packed=*/false), 0x0028f91b05fbbf47ull},
+      {"long-range repeat", LzCorpus()[5], 0x94240f839e32b133ull},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string compressed = CompressBytes(golden.input);
+    EXPECT_EQ(Checksum(compressed), golden.checksum)
+        << golden.name << " (" << golden.input.size() << " -> "
+        << compressed.size() << " bytes)";
+    const auto decompressed = DecompressBytes(compressed, golden.input.size());
+    ASSERT_TRUE(decompressed.ok()) << decompressed.status();
+    EXPECT_EQ(*decompressed, golden.input) << golden.name;
+  }
+}
+
 }  // namespace
 }  // namespace sitm::storage

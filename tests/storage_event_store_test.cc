@@ -956,6 +956,61 @@ TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
   }
 }
 
+/// A fixed detection set for the v3 detection-store golden: 40 rows over
+/// 6 objects, unsorted, with repeated cells and a zero-length stay.
+std::vector<core::RawDetection> GoldenDetections() {
+  std::vector<core::RawDetection> out;
+  for (int i = 0; i < 40; ++i) {
+    const std::int64_t start = 2000000 + (i * 7919) % 4001;
+    out.emplace_back(ObjectId((i * 5) % 6 + 1), CellId((i * 3) % 11 + 1),
+                     Timestamp(start), Timestamp(start + (i % 9) * 45));
+  }
+  return out;
+}
+
+TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
+  // Every v3 codec's bytes over GoldenTrajectories(), at a block size
+  // that splits the fixture and at one that keeps it whole, plus a
+  // default-option detection store. An encoder rewrite must reproduce
+  // these exactly: readers of existing files and the store-size gate
+  // both depend on it.
+  struct Golden {
+    BlockCodec codec;
+    std::size_t rows_per_block;
+    std::uint64_t checksum;
+  };
+  const Golden goldens[] = {
+      {BlockCodec::kRaw, 3, 0x19e9005cef8bca23ull},
+      {BlockCodec::kRaw, 4096, 0xbc5b826def36d9e2ull},
+      {BlockCodec::kPacked, 3, 0xc5ee29cd068c0c94ull},
+      {BlockCodec::kPacked, 4096, 0x586e67f22383498aull},
+      {BlockCodec::kLz, 3, 0xec1bf504d77067fbull},
+      {BlockCodec::kLz, 4096, 0x072c23b292f7add2ull},
+      {BlockCodec::kPackedLz, 3, 0xda80c33ce9ee3f5aull},
+      {BlockCodec::kPackedLz, 4096, 0x7d84d1d311e00d28ull},
+  };
+  const auto trajectories = GoldenTrajectories();
+  for (const Golden& golden : goldens) {
+    WriterOptions options;
+    options.codec = golden.codec;
+    options.rows_per_block = golden.rows_per_block;
+    const std::string path = TempPath("golden_v3.evst");
+    ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
+    const auto bytes = io::ReadFile(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(Checksum(*bytes), golden.checksum)
+        << BlockCodecName(golden.codec) << " rpb=" << golden.rows_per_block;
+    std::remove(path.c_str());
+  }
+
+  const std::string path = TempPath("golden_v3_detections.evst");
+  ASSERT_TRUE(WriteDetectionStore(path, GoldenDetections()).ok());
+  const auto bytes = io::ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(Checksum(*bytes), 0xdefcd3a5a3787f87ull);
+  std::remove(path.c_str());
+}
+
 TEST(EventStoreCompatTest, OldVersionsRejectNonRawCodecs) {
   WriterOptions options;
   options.format_version = 2;
