@@ -1,7 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <cstdint>
 #include <utility>
 
 #include "base/task_graph.h"
@@ -35,6 +36,55 @@ void MergeBuildReports(BuildReport* into, const BuildReport& from) {
   into->trajectories_out += from.trajectories_out;
 }
 
+/// Stable partition of `detections` by object id, objects ascending:
+/// an LSD radix sort on the id's offset from the smallest id, one pass
+/// per 11-bit digit that varies. Returns the group offsets (each
+/// object's detections are [offsets[g], offsets[g + 1]), in input
+/// order), or InvalidArgument on an invalid object or cell id.
+Result<std::vector<std::size_t>> PartitionByObject(
+    std::vector<RawDetection>& detections) {
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  std::int64_t lowest = 0, highest = 0;
+  for (std::size_t i = 0; i < detections.size(); ++i) {
+    const RawDetection& d = detections[i];
+    if (!d.object.valid() || !d.cell.valid()) {
+      return Status::InvalidArgument(
+          "BatchPipeline: detection with invalid object or cell id");
+    }
+    const std::int64_t object = d.object.value();
+    lowest = i == 0 ? object : std::min(lowest, object);
+    highest = i == 0 ? object : std::max(highest, object);
+  }
+  // Keys are offsets from the smallest id, computed mod 2^64: exact for
+  // every pair of int64 ids.
+  const auto offset = [lowest](std::int64_t object) {
+    return static_cast<std::uint64_t>(object) -
+           static_cast<std::uint64_t>(lowest);
+  };
+  const std::uint64_t span = offset(highest);
+  std::vector<RawDetection> scratch(detections.size());
+  for (int shift = 0; shift < 64 && (span >> shift) != 0;
+       shift += kDigitBits) {
+    const auto digit = [&offset, shift](const RawDetection& d) {
+      return (offset(d.object.value()) >> shift) & (kBuckets - 1);
+    };
+    std::array<std::size_t, kBuckets + 1> next{};
+    for (const RawDetection& d : detections) ++next[digit(d) + 1];
+    for (std::size_t b = 1; b <= kBuckets; ++b) next[b] += next[b - 1];
+    for (const RawDetection& d : detections) scratch[next[digit(d)]++] = d;
+    detections.swap(scratch);
+  }
+  std::vector<std::size_t> offsets;
+  for (std::size_t i = 0; i < detections.size(); ++i) {
+    if (i == 0 || detections[i].object != detections[i - 1].object) {
+      offsets.push_back(i);
+    }
+  }
+  offsets.push_back(detections.size());
+  return offsets;
+}
+
 }  // namespace
 
 Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
@@ -64,24 +114,14 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
         "enrichment_graph / builder.graph)");
   }
 
-  // --- Stage 1: group by object (ordered, so shard merging preserves
-  // the sequential builder's (object, start time) output order).
+  // --- Stage 1: group by object (ascending, so shard merging preserves
+  // the sequential builder's (object, start time) output order). The
+  // partition is stable, so every builder sorts its object's detections
+  // from the same input order as the sequential builder does.
   report_.build.records_in = detections.size();
-  std::map<ObjectId, std::vector<RawDetection>> by_object;
-  for (RawDetection& d : detections) {
-    if (!d.object.valid() || !d.cell.valid()) {
-      return Status::InvalidArgument(
-          "BatchPipeline: detection with invalid object or cell id");
-    }
-    by_object[d.object].push_back(std::move(d));
-  }
-  detections.clear();
-  std::vector<std::vector<RawDetection>> groups;
-  groups.reserve(by_object.size());
-  for (auto& [object, records] : by_object) {
-    groups.push_back(std::move(records));
-  }
-  by_object.clear();
+  SITM_ASSIGN_OR_RETURN(const std::vector<std::size_t> group_offsets,
+                        PartitionByObject(detections));
+  const std::size_t num_groups = group_offsets.size() - 1;
 
   // --- Stages 2+3 as one task graph: each shard is a build task chained
   // to an enrich+infer task, so enrichment of an early shard overlaps
@@ -90,12 +130,12 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   // as an ablation baseline — same bytes out, different overlap).
   const std::size_t per_shard = std::max<std::size_t>(
       static_cast<std::size_t>(1), options_.objects_per_shard);
-  const std::size_t num_shards = (groups.size() + per_shard - 1) / per_shard;
+  const std::size_t num_shards = (num_groups + per_shard - 1) / per_shard;
   report_.shards = num_shards;
   const bool enrich = !options_.rules.empty();
   const bool infer = options_.infer_hidden_passages;
 
-  // Thread-safety: tasks share `groups` and the graphs read-only and
+  // Thread-safety: tasks share `detections` and the graphs read-only and
   // write only their own shard's slots — shards[s] for build task s,
   // stage_outcomes[s] (sized inside the task) plus the in-place
   // trajectory updates for enrich task s, which the build->enrich edge
@@ -108,9 +148,11 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   std::vector<TaskId> build_tasks(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     build_tasks[s] = graph.AddTask(
-        "pipeline/build", [this, &groups, &shards, per_shard, s] {
+        "pipeline/build",
+        [this, &detections, &group_offsets, &shards, num_groups, per_shard,
+         s] {
           const std::size_t begin = s * per_shard;
-          const std::size_t end = std::min(groups.size(), begin + per_shard);
+          const std::size_t end = std::min(num_groups, begin + per_shard);
           BuilderOptions shard_options = options_.builder;
           shard_options.first_trajectory_id = TrajectoryId(1);
           TrajectoryBuilder builder(std::move(shard_options));
@@ -120,9 +162,12 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
           // builder to split them apart again would double the grouping
           // work. Group-local trajectory ids are renumbered by the
           // caller.
+          const RawDetection* grouped = detections.data();
           for (std::size_t g = begin; g < end; ++g) {
             Result<std::vector<SemanticTrajectory>> built =
-                builder.Build(std::move(groups[g]));
+                builder.Build(std::vector<RawDetection>(
+                    grouped + group_offsets[g],
+                    grouped + group_offsets[g + 1]));
             MergeBuildReports(&outcome.report, builder.report());
             if (!built.ok()) {
               outcome.status = built.status();
@@ -212,11 +257,9 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
     for (ShardOutcome& shard : shards) {
       MergeBuildReports(&report_.build, shard.report);
       for (SemanticTrajectory& t : shard.trajectories) {
-        SemanticTrajectory renumbered(next_id, t.object(),
-                                      std::move(t.mutable_trace()),
-                                      t.annotations());
+        t.set_id(next_id);
         next_id = TrajectoryId(next_id.value() + 1);
-        out.push_back(std::move(renumbered));
+        out.push_back(std::move(t));
       }
     }
     // Per-shard records_in counters sum to the grouped total; keep the

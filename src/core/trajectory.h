@@ -25,6 +25,7 @@ class SemanticTrajectory {
         annotations_(std::move(annotations)) {}
 
   TrajectoryId id() const { return id_; }
+  void set_id(TrajectoryId id) { id_ = id; }
   ObjectId object() const { return object_; }
   const Trace& trace() const { return trace_; }
   Trace& mutable_trace() { return trace_; }

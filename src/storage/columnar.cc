@@ -333,17 +333,47 @@ constexpr std::size_t kLzMinMatch = 4;
 constexpr std::size_t kLzMaxDistance = 1u << 16;
 constexpr int kLzHashBits = 16;
 constexpr int kLzMaxChain = 64;
+/// Chain positions are 32-bit; this marks an empty slot, so positions at
+/// or past it are never indexed (the tail of a >= 4 GiB input is emitted
+/// as literals).
+constexpr std::uint32_t kLzNoPosition = UINT32_MAX;
 
-std::uint32_t LzHash(const char* p) {
+std::uint32_t Load32(const char* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
-  // Multiplicative hash of the next 4 bytes (Fibonacci constant).
-  return (v * 2654435761u) >> (32 - kLzHashBits);
+  return v;
 }
 
-}  // namespace
+std::uint64_t Load64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
-namespace {
+std::uint32_t LzHash(const char* p) {
+  // Multiplicative hash of the next 4 bytes (Fibonacci constant).
+  return (Load32(p) * 2654435761u) >> (32 - kLzHashBits);
+}
+
+/// Length of the common prefix of `a` and `b`, at most `limit` bytes:
+/// eight bytes per step, the first differing byte located from the XOR
+/// of the two words.
+std::size_t CommonPrefix(const char* a, const char* b, std::size_t limit) {
+  std::size_t len = 0;
+  while (len + 8 <= limit) {
+    const std::uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      return len + static_cast<std::size_t>(__builtin_clzll(diff) / 8);
+#else
+      return len + static_cast<std::size_t>(__builtin_ctzll(diff) / 8);
+#endif
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
 
 /// Hash-chained match finder: head[h] is the most recent position whose
 /// 4-byte prefix hashed to h, prev[] threads earlier ones. Bounded
@@ -353,29 +383,29 @@ class LzMatcher {
  public:
   explicit LzMatcher(std::string_view input)
       : input_(input),
-        head_(std::size_t{1} << kLzHashBits, SIZE_MAX),
-        prev_(input.size(), SIZE_MAX) {}
+        head_(std::size_t{1} << kLzHashBits, kLzNoPosition),
+        prev_(std::min<std::size_t>(input.size(), kLzNoPosition)) {}
 
   /// Longest match (>= kLzMinMatch) ending the probe at `pos`, as
   /// (length, distance); length 0 when none. Ties prefer the nearer
   /// candidate (shorter distance varint).
   std::pair<std::size_t, std::size_t> Find(std::size_t pos) const {
-    std::size_t best_len = 0, best_dist = 0;
-    std::size_t candidate = head_[LzHash(input_.data() + pos)];
+    const char* const data = input_.data();
     const std::size_t limit = input_.size() - pos;
-    for (int probes = 0; probes < kLzMaxChain && candidate != SIZE_MAX;
+    std::size_t best_len = 0, best_dist = 0;
+    std::uint32_t candidate = head_[LzHash(data + pos)];
+    for (int probes = 0; probes < kLzMaxChain && candidate != kLzNoPosition;
          ++probes, candidate = prev_[candidate]) {
       if (pos - candidate > kLzMaxDistance) break;  // chain only ages
-      // Cheap rejection: a longer match must agree at best_len too.
-      if (best_len > 0 && (best_len >= limit ||
-                           input_[candidate + best_len] !=
-                               input_[pos + best_len])) {
+      // Cheap rejection: a longer match must agree on the 4 bytes ending
+      // at best_len too (best_len >= kLzMinMatch whenever it is set).
+      if (best_len > 0 &&
+          (best_len >= limit ||
+           Load32(data + candidate + best_len - 3) !=
+               Load32(data + pos + best_len - 3))) {
         continue;
       }
-      std::size_t len = 0;
-      while (len < limit && input_[candidate + len] == input_[pos + len]) {
-        ++len;
-      }
+      const std::size_t len = CommonPrefix(data + candidate, data + pos, limit);
       if (len >= kLzMinMatch && len > best_len) {
         best_len = len;
         best_dist = pos - candidate;
@@ -388,13 +418,13 @@ class LzMatcher {
   void Insert(std::size_t pos) {
     const std::uint32_t h = LzHash(input_.data() + pos);
     prev_[pos] = head_[h];
-    head_[h] = pos;
+    head_[h] = static_cast<std::uint32_t>(pos);
   }
 
  private:
   std::string_view input_;
-  std::vector<std::size_t> head_;
-  std::vector<std::size_t> prev_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> prev_;
 };
 
 }  // namespace
@@ -403,13 +433,15 @@ std::string CompressBytes(std::string_view input) {
   std::string out;
   out.reserve(input.size() / 2 + 16);
   LzMatcher matcher(input);
+  // Only positions below kLzNoPosition are searched and indexed.
+  const std::size_t end = std::min<std::size_t>(input.size(), kLzNoPosition);
   std::size_t pos = 0;
   std::size_t literal_start = 0;
   auto flush_literals = [&](std::size_t until) {
     PutVarint64(out, until - literal_start);
     out.append(input.data() + literal_start, until - literal_start);
   };
-  while (pos + kLzMinMatch <= input.size()) {
+  while (pos + kLzMinMatch <= end) {
     auto [len, dist] = matcher.Find(pos);
     matcher.Insert(pos);
     if (len == 0) {
@@ -418,8 +450,7 @@ std::string CompressBytes(std::string_view input) {
     }
     // Lazy matching: when the very next position starts a longer match,
     // emit this byte as a literal and take the later one instead.
-    while (pos + 1 + kLzMinMatch <= input.size() &&
-           len < input.size() - pos) {
+    while (pos + 1 + kLzMinMatch <= end && len < input.size() - pos) {
       const auto [next_len, next_dist] = matcher.Find(pos + 1);
       if (next_len <= len) break;
       matcher.Insert(pos + 1);
@@ -432,8 +463,8 @@ std::string CompressBytes(std::string_view input) {
     PutVarint64(out, dist);
     // Index every position the match covers so repeats right after it
     // are still found (bounded chains keep this O(n) overall).
-    for (std::size_t i = pos + 1;
-         i + kLzMinMatch <= input.size() && i < pos + len; ++i) {
+    for (std::size_t i = pos + 1; i + kLzMinMatch <= end && i < pos + len;
+         ++i) {
       matcher.Insert(i);
     }
     pos += len;

@@ -49,18 +49,6 @@ Result<core::AnnotationSet> DecodeAnnotationSet(ByteReader& reader) {
   return set;
 }
 
-/// One encoded block ready to be appended to the file (offset unset).
-struct EncodedBlock {
-  std::string payload;
-  BlockMeta meta;
-  /// Distinct raw object ids in the block, ascending (feeds the
-  /// secondary object-id index).
-  std::vector<std::int64_t> objects;
-  /// Distinct dictionary ids referenced by the block, ascending (feeds
-  /// the v3 annotation bitmaps; empty for detection blocks).
-  std::vector<std::uint32_t> dictionary_ids;
-};
-
 /// Wraps raw column bytes into the on-disk block payload for the given
 /// format version: v1/v2 store them as-is; v3 prepends the codec id and
 /// applies the byte codec. `inner` must already be in the codec's
@@ -87,6 +75,42 @@ std::string WrapBlockPayload(std::uint32_t format_version, BlockCodec codec,
 /// True when the codec's inner column layout is the bitpacked one.
 bool CodecPacksColumns(BlockCodec codec) {
   return codec == BlockCodec::kPacked || codec == BlockCodec::kPackedLz;
+}
+
+void PutSignedVarints(std::string& out,
+                      const std::vector<std::int64_t>& values) {
+  for (const std::int64_t v : values) PutSVarint64(out, v);
+}
+
+/// The column encoders of one inner layout: bitpacked for kPacked and
+/// kPackedLz, varints for kRaw and kLz.
+struct ColumnLayout {
+  void (*delta)(std::string&, const std::vector<std::int64_t>&);
+  void (*unsigned_values)(std::string&, const std::vector<std::uint64_t>&);
+  void (*signed_values)(std::string&, const std::vector<std::int64_t>&);
+};
+
+ColumnLayout ColumnLayoutFor(BlockCodec codec) {
+  if (CodecPacksColumns(codec)) {
+    return {PutPackedDeltaColumn, PutPackedColumn, PutPackedSignedColumn};
+  }
+  return {PutDeltaColumn, PutVarintColumn, PutSignedVarints};
+}
+
+/// Content hash of an annotation set for interning without serializing
+/// it: FNV-1a over each annotation's kind byte and value bytes, with a
+/// terminator after every value.
+std::uint64_t AnnotationSetHash(const core::AnnotationSet& set) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  std::uint64_t h = kChecksumSeed;
+  for (const core::SemanticAnnotation& a : set.annotations()) {
+    h = (h ^ static_cast<std::uint8_t>(a.kind)) * kPrime;
+    for (const char c : a.value) {
+      h = (h ^ static_cast<unsigned char>(c)) * kPrime;
+    }
+    h *= kPrime;  // terminator byte 0
+  }
+  return h;
 }
 
 std::vector<std::int64_t> SortedUnique(std::vector<std::int64_t> values) {
@@ -213,6 +237,18 @@ bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
 
 }  // namespace
 
+/// One encoded block ready to be appended to the file (offset unset).
+struct EventStoreWriter::EncodedBlock {
+  std::string payload;
+  BlockMeta meta;
+  /// Distinct raw object ids in the block, ascending (feeds the
+  /// secondary object-id index).
+  std::vector<std::int64_t> objects;
+  /// Distinct dictionary ids referenced by the block, ascending (feeds
+  /// the v3 annotation bitmaps; empty for detection blocks).
+  std::vector<std::uint32_t> dictionary_ids;
+};
+
 const char* BlockCodecName(BlockCodec codec) {
   switch (codec) {
     case BlockCodec::kRaw:
@@ -259,7 +295,7 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   }
   if (options.format_version < 3) options.codec = BlockCodec::kRaw;
   EventStoreWriter writer;
-  writer.file_ = std::fopen(path.c_str(), "wb");
+  writer.file_.reset(std::fopen(path.c_str(), "wb"));
   if (writer.file_ == nullptr) {
     return Status::IOError("EventStore: cannot open '" + path +
                            "' for writing");
@@ -273,49 +309,12 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   return writer;
 }
 
-EventStoreWriter::~EventStoreWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-EventStoreWriter::EventStoreWriter(EventStoreWriter&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
-      kind_(other.kind_),
-      options_(other.options_),
-      offset_(other.offset_),
-      finished_(other.finished_),
-      blocks_(std::move(other.blocks_)),
-      dictionary_(std::move(other.dictionary_)),
-      dictionary_sets_(std::move(other.dictionary_sets_)),
-      dictionary_index_(std::move(other.dictionary_index_)),
-      object_blocks_(std::move(other.object_blocks_)),
-      block_dictionary_ids_(std::move(other.block_dictionary_ids_)),
-      stats_(other.stats_) {}
-
-EventStoreWriter& EventStoreWriter::operator=(
-    EventStoreWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = std::exchange(other.file_, nullptr);
-    kind_ = other.kind_;
-    options_ = other.options_;
-    offset_ = other.offset_;
-    finished_ = other.finished_;
-    blocks_ = std::move(other.blocks_);
-    dictionary_ = std::move(other.dictionary_);
-    dictionary_sets_ = std::move(other.dictionary_sets_);
-    dictionary_index_ = std::move(other.dictionary_index_);
-    object_blocks_ = std::move(other.object_blocks_);
-    block_dictionary_ids_ = std::move(other.block_dictionary_ids_);
-    stats_ = other.stats_;
-  }
-  return *this;
-}
-
 Status EventStoreWriter::WriteRaw(std::string_view bytes) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("EventStore: writer is closed");
   }
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_.get()) !=
+      bytes.size()) {
     return Status::IOError("EventStore: write failed at offset " +
                            std::to_string(offset_));
   }
@@ -323,16 +322,78 @@ Status EventStoreWriter::WriteRaw(std::string_view bytes) {
   return Status::OK();
 }
 
-std::uint32_t EventStoreWriter::DictionaryId(const core::AnnotationSet& set) {
-  std::string encoded = EncodeAnnotationSet(set);
-  const auto it = dictionary_index_.find(encoded);
-  if (it != dictionary_index_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(dictionary_.size());
-  dictionary_index_.emplace(encoded, id);
-  dictionary_.push_back(std::move(encoded));
+std::uint32_t EventStoreWriter::DictionaryId(const core::AnnotationSet& set,
+                                            std::uint64_t hash) {
+  if (2 * (dictionary_sets_.size() + 1) > dictionary_slots_.size()) {
+    // Keep the table at most half full: double it and re-place every id.
+    dictionary_slots_.assign(
+        std::max<std::size_t>(16, 2 * dictionary_slots_.size()), 0);
+    const std::size_t mask = dictionary_slots_.size() - 1;
+    for (std::uint32_t id = 0; id < dictionary_hashes_.size(); ++id) {
+      std::size_t i = dictionary_hashes_[id] & mask;
+      while (dictionary_slots_[i] != 0) i = (i + 1) & mask;
+      dictionary_slots_[i] = id + 1;
+    }
+  }
+  const std::size_t mask = dictionary_slots_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; dictionary_slots_[i] != 0; i = (i + 1) & mask) {
+    const std::uint32_t id = dictionary_slots_[i] - 1;
+    if (dictionary_hashes_[id] == hash && dictionary_sets_[id] == set) {
+      return id;
+    }
+  }
+  const auto id = static_cast<std::uint32_t>(dictionary_sets_.size());
+  dictionary_slots_[i] = id + 1;
+  dictionary_hashes_.push_back(hash);
   dictionary_sets_.push_back(set);
-  stats_.dictionary_entries = dictionary_.size();
+  stats_.dictionary_entries = dictionary_sets_.size();
   return id;
+}
+
+std::vector<std::uint32_t> EventStoreWriter::DictionaryIds(
+    const std::vector<const core::AnnotationSet*>& sets) {
+  // The sets of a batch lie scattered over the heap. Hashing a chunk of
+  // them first (prefetching a few sets ahead) lets their cache misses
+  // overlap; the probes that follow then find each set in cache.
+  constexpr std::size_t kChunk = 1024;
+  constexpr std::size_t kAhead = 8;
+  std::vector<std::uint32_t> ids(sets.size());
+  std::vector<std::uint64_t> hashes(std::min(kChunk, sets.size()));
+  for (std::size_t begin = 0; begin < sets.size(); begin += kChunk) {
+    const std::size_t end = std::min(sets.size(), begin + kChunk);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + 2 * kAhead < sets.size()) {
+        __builtin_prefetch(sets[i + 2 * kAhead]);
+      }
+      if (i + kAhead < sets.size()) {
+        __builtin_prefetch(sets[i + kAhead]->annotations().data());
+      }
+      hashes[i - begin] = AnnotationSetHash(*sets[i]);
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      ids[i] = DictionaryId(*sets[i], hashes[i - begin]);
+    }
+  }
+  return ids;
+}
+
+Status EventStoreWriter::WriteBlocks(std::vector<EncodedBlock>& encoded) {
+  for (EncodedBlock& block : encoded) {
+    block.meta.offset = offset_;
+    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
+    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
+    for (std::int64_t object : block.objects) {
+      object_blocks_.emplace_back(object, block_index);
+    }
+    stats_.rows += block.meta.rows;
+    stats_.trajectories += block.meta.trajectories;
+    stats_.blocks += 1;
+    stats_.payload_bytes += block.meta.length;
+    blocks_.push_back(block.meta);
+    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
+  }
+  return Status::OK();
 }
 
 Status EventStoreWriter::Append(
@@ -355,6 +416,7 @@ Status EventStoreWriter::Append(
 
   const std::size_t per_block = options_.rows_per_block;
   const std::size_t num_blocks = (detections.size() + per_block - 1) / per_block;
+  const ColumnLayout layout = ColumnLayoutFor(options_.codec);
   // Thread-safety: each task encodes a disjoint row range of the
   // (read-only) input into its own EncodedBlock slot; the file is
   // written sequentially afterwards, so bytes on disk are identical
@@ -383,17 +445,10 @@ Status EventStoreWriter::Append(
                        d.end.seconds_since_epoch());
         }
         std::string inner;
-        if (CodecPacksColumns(options_.codec)) {
-          PutPackedDeltaColumn(inner, objects);
-          PutPackedDeltaColumn(inner, cells);
-          PutPackedDeltaColumn(inner, starts);
-          PutPackedColumn(inner, durations);
-        } else {
-          PutDeltaColumn(inner, objects);
-          PutDeltaColumn(inner, cells);
-          PutDeltaColumn(inner, starts);
-          PutVarintColumn(inner, durations);
-        }
+        layout.delta(inner, objects);
+        layout.delta(inner, cells);
+        layout.delta(inner, starts);
+        layout.unsigned_values(inner, durations);
         block.payload = WrapBlockPayload(options_.format_version,
                                          options_.codec, std::move(inner));
         block.meta.rows = n;
@@ -403,21 +458,7 @@ Status EventStoreWriter::Append(
         return block;
       },
       /*grain=*/0, "store/encode");
-
-  for (EncodedBlock& block : encoded) {
-    block.meta.offset = offset_;
-    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
-    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::int64_t object : block.objects) {
-      object_blocks_[object].push_back(block_index);
-    }
-    stats_.rows += block.meta.rows;
-    stats_.blocks += 1;
-    stats_.payload_bytes += block.meta.length;
-    blocks_.push_back(block.meta);
-    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
-  }
-  return Status::OK();
+  return WriteBlocks(encoded);
 }
 
 Status EventStoreWriter::Append(
@@ -431,183 +472,144 @@ Status EventStoreWriter::Append(
   }
   if (trajectories.empty()) return Status::OK();
 
-  // Flatten the batch into column vectors (and assign dictionary ids —
-  // inherently sequential: ids must be stable in first-seen order).
-  const std::size_t num_trajectories = trajectories.size();
-  std::vector<std::int64_t> traj_ids, traj_objects;
-  std::vector<std::uint64_t> traj_dicts, traj_rows;
-  std::vector<std::int64_t> cells, transitions, starts;
-  std::vector<std::uint64_t> durations, stay_dicts, transition_dicts;
-  std::vector<bool> inferred;
-  traj_ids.reserve(num_trajectories);
-  traj_objects.reserve(num_trajectories);
-  traj_dicts.reserve(num_trajectories);
-  traj_rows.reserve(num_trajectories);
-  for (const core::SemanticTrajectory& t : trajectories) {
-    // Checked accessor: an empty trace must never reach the disk, or
-    // readers could not reconstruct the trajectory's bounds.
-    SITM_RETURN_IF_ERROR(t.trace().StartTime().status().WithContext(
-        "EventStore: refusing to append trajectory #" +
-        std::to_string(t.id().value())));
-    traj_ids.push_back(t.id().value());
-    traj_objects.push_back(t.object().value());
-    traj_dicts.push_back(DictionaryId(t.annotations()));
-    traj_rows.push_back(t.trace().size());
-    for (const core::PresenceInterval& p : t.trace().intervals()) {
-      const std::int64_t duration = (p.end() - p.start()).seconds();
-      if (duration < 0) {
-        return Status::InvalidArgument(
-            "EventStore: presence interval with end before start");
-      }
-      cells.push_back(p.cell.value());
-      transitions.push_back(p.transition.value());
-      starts.push_back(p.start().seconds_since_epoch());
-      durations.push_back(static_cast<std::uint64_t>(duration));
-      stay_dicts.push_back(DictionaryId(p.annotations));
-      transition_dicts.push_back(DictionaryId(p.transition_annotations));
-      inferred.push_back(p.inferred);
-    }
-  }
-
-  // Block boundaries: close at the first trajectory boundary at or past
-  // rows_per_block rows. (trajectory begin index, row begin index).
+  // One pass validates the batch, cuts block boundaries (a block closes
+  // at the first trajectory boundary at or past rows_per_block rows),
+  // and lists the annotation sets in file order: per trajectory its
+  // A_traj, then (stay, transition) per tuple.
   struct BlockRange {
     std::size_t traj_begin, traj_end;
     std::size_t row_begin, row_end;
   };
   std::vector<BlockRange> ranges;
-  std::size_t traj_cursor = 0, row_cursor = 0;
-  while (traj_cursor < num_trajectories) {
-    BlockRange range{traj_cursor, traj_cursor, row_cursor, row_cursor};
-    while (range.traj_end < num_trajectories &&
-           range.row_end - range.row_begin < options_.rows_per_block) {
-      range.row_end += static_cast<std::size_t>(traj_rows[range.traj_end]);
-      range.traj_end += 1;
+  std::vector<const core::AnnotationSet*> sets;
+  std::size_t rows = 0;
+  for (std::size_t t = 0; t < trajectories.size(); ++t) {
+    const core::SemanticTrajectory& trajectory = trajectories[t];
+    // An empty trace must never reach the disk, or readers could not
+    // reconstruct the trajectory's bounds.
+    if (trajectory.trace().empty()) {
+      return trajectory.trace().StartTime().status().WithContext(
+          "EventStore: refusing to append trajectory #" +
+          std::to_string(trajectory.id().value()));
     }
-    ranges.push_back(range);
-    traj_cursor = range.traj_end;
-    row_cursor = range.row_end;
+    if (ranges.empty() || ranges.back().row_end - ranges.back().row_begin >=
+                              options_.rows_per_block) {
+      ranges.push_back({t, t, rows, rows});
+    }
+    rows += trajectory.trace().size();
+    ranges.back().traj_end = t + 1;
+    ranges.back().row_end = rows;
+    sets.push_back(&trajectory.annotations());
+    for (const core::PresenceInterval& p : trajectory.trace().intervals()) {
+      if (p.end() < p.start()) {
+        return Status::InvalidArgument(
+            "EventStore: presence interval with end before start");
+      }
+      sets.push_back(&p.annotations);
+      sets.push_back(&p.transition_annotations);
+    }
   }
+  // Dictionary ids are inherently sequential (stable in first-seen
+  // order), so they are assigned here, once the whole batch is known to
+  // be valid: a rejected batch leaves no entries behind. Block encoding
+  // reads them back by position.
+  const std::vector<std::uint32_t> dictionary_ids = DictionaryIds(sets);
 
+  const ColumnLayout layout = ColumnLayoutFor(options_.codec);
   // Thread-safety: same slot discipline as the detection path — one
   // BlockRange in, one EncodedBlock slot out, no shared writes.
   std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
       options_.executor, ranges.size(), [&](std::size_t b) {
         const BlockRange& range = ranges[b];
+        const std::size_t num_trajectories = range.traj_end - range.traj_begin;
+        const std::size_t num_rows = range.row_end - range.row_begin;
+        std::vector<std::int64_t> ids, objects;
+        std::vector<std::uint64_t> traj_dicts, traj_rows;
+        ids.reserve(num_trajectories);
+        objects.reserve(num_trajectories);
+        traj_dicts.reserve(num_trajectories);
+        traj_rows.reserve(num_trajectories);
+        std::vector<std::int64_t> cells, transitions, starts;
+        std::vector<std::uint64_t> durations, stay_dicts, transition_dicts;
+        std::vector<bool> inferred;
+        cells.reserve(num_rows);
+        transitions.reserve(num_rows);
+        starts.reserve(num_rows);
+        durations.reserve(num_rows);
+        stay_dicts.reserve(num_rows);
+        transition_dicts.reserve(num_rows);
+        inferred.reserve(num_rows);
+        // This block's span of dictionary_ids: one per trajectory plus
+        // two per tuple before it.
+        const std::uint32_t* const dict_begin =
+            dictionary_ids.data() + range.traj_begin + 2 * range.row_begin;
+        const std::uint32_t* const dict_end =
+            dict_begin + num_trajectories + 2 * num_rows;
+        const std::uint32_t* dict = dict_begin;
         EncodedBlock block;
-        auto slice_i64 = [](const std::vector<std::int64_t>& v,
-                            std::size_t begin, std::size_t end) {
-          return std::vector<std::int64_t>(v.begin() + begin, v.begin() + end);
-        };
-        auto slice_u64 = [](const std::vector<std::uint64_t>& v,
-                            std::size_t begin, std::size_t end) {
-          return std::vector<std::uint64_t>(v.begin() + begin,
-                                            v.begin() + end);
-        };
-        std::string inner;
-        if (CodecPacksColumns(options_.codec)) {
-          PutPackedDeltaColumn(
-              inner, slice_i64(traj_ids, range.traj_begin, range.traj_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(traj_objects, range.traj_begin, range.traj_end));
-          PutPackedColumn(
-              inner, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
-          PutPackedColumn(
-              inner, slice_u64(traj_rows, range.traj_begin, range.traj_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(cells, range.row_begin, range.row_end));
-          PutPackedSignedColumn(
-              inner, slice_i64(transitions, range.row_begin, range.row_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(starts, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner, slice_u64(durations, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner, slice_u64(stay_dicts, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner,
-              slice_u64(transition_dicts, range.row_begin, range.row_end));
-        } else {
-          PutDeltaColumn(inner,
-                         slice_i64(traj_ids, range.traj_begin, range.traj_end));
-          PutDeltaColumn(
-              inner, slice_i64(traj_objects, range.traj_begin, range.traj_end));
-          PutVarintColumn(
-              inner, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
-          PutVarintColumn(
-              inner, slice_u64(traj_rows, range.traj_begin, range.traj_end));
-          PutDeltaColumn(inner,
-                         slice_i64(cells, range.row_begin, range.row_end));
-          for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
-            PutSVarint64(inner, transitions[i]);
-          }
-          PutDeltaColumn(inner,
-                         slice_i64(starts, range.row_begin, range.row_end));
-          PutVarintColumn(inner,
-                          slice_u64(durations, range.row_begin, range.row_end));
-          PutVarintColumn(
-              inner, slice_u64(stay_dicts, range.row_begin, range.row_end));
-          PutVarintColumn(
-              inner,
-              slice_u64(transition_dicts, range.row_begin, range.row_end));
-        }
-        PutBitColumn(inner,
-                     std::vector<bool>(inferred.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               range.row_begin),
-                                       inferred.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               range.row_end)));
-        block.payload = WrapBlockPayload(options_.format_version,
-                                         options_.codec, std::move(inner));
-        {
-          std::vector<std::uint32_t> ids;
-          for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
-            ids.push_back(static_cast<std::uint32_t>(traj_dicts[t]));
-          }
-          for (std::size_t r = range.row_begin; r < range.row_end; ++r) {
-            ids.push_back(static_cast<std::uint32_t>(stay_dicts[r]));
-            ids.push_back(static_cast<std::uint32_t>(transition_dicts[r]));
-          }
-          std::sort(ids.begin(), ids.end());
-          ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-          block.dictionary_ids = std::move(ids);
-        }
         bool first = true;
         for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
-          const core::Trace& trace = trajectories[t].trace();
-          for (const core::PresenceInterval& p : trace.intervals()) {
-            FoldRowStats(block.meta, first, traj_objects[t],
-                         p.start().seconds_since_epoch(),
-                         p.end().seconds_since_epoch());
+          const core::SemanticTrajectory& trajectory = trajectories[t];
+          const std::int64_t object = trajectory.object().value();
+          ids.push_back(trajectory.id().value());
+          objects.push_back(object);
+          traj_dicts.push_back(*dict++);
+          traj_rows.push_back(trajectory.trace().size());
+          for (const core::PresenceInterval& p :
+               trajectory.trace().intervals()) {
+            const std::int64_t start = p.start().seconds_since_epoch();
+            const std::int64_t end = p.end().seconds_since_epoch();
+            cells.push_back(p.cell.value());
+            transitions.push_back(p.transition.value());
+            starts.push_back(start);
+            durations.push_back(static_cast<std::uint64_t>(end - start));
+            stay_dicts.push_back(*dict++);
+            transition_dicts.push_back(*dict++);
+            inferred.push_back(p.inferred);
+            FoldRowStats(block.meta, first, object, start, end);
             first = false;
           }
         }
-        block.meta.rows = range.row_end - range.row_begin;
-        block.meta.trajectories = range.traj_end - range.traj_begin;
+        std::string inner;
+        layout.delta(inner, ids);
+        layout.delta(inner, objects);
+        layout.unsigned_values(inner, traj_dicts);
+        layout.unsigned_values(inner, traj_rows);
+        layout.delta(inner, cells);
+        layout.signed_values(inner, transitions);
+        layout.delta(inner, starts);
+        layout.unsigned_values(inner, durations);
+        layout.unsigned_values(inner, stay_dicts);
+        layout.unsigned_values(inner, transition_dicts);
+        PutBitColumn(inner, inferred);
+        block.payload = WrapBlockPayload(options_.format_version,
+                                         options_.codec, std::move(inner));
+        // A block references few distinct sets, mostly in short cycles
+        // (stay, transition, stay, ...): skipping ids among the last few
+        // kept leaves little to sort.
+        for (const std::uint32_t* id = dict_begin; id != dict_end; ++id) {
+          const auto recent =
+              block.dictionary_ids.end() -
+              static_cast<std::ptrdiff_t>(
+                  std::min<std::size_t>(block.dictionary_ids.size(), 8));
+          if (std::find(recent, block.dictionary_ids.end(), *id) ==
+              block.dictionary_ids.end()) {
+            block.dictionary_ids.push_back(*id);
+          }
+        }
+        std::sort(block.dictionary_ids.begin(), block.dictionary_ids.end());
+        block.dictionary_ids.erase(std::unique(block.dictionary_ids.begin(),
+                                               block.dictionary_ids.end()),
+                                   block.dictionary_ids.end());
+        block.meta.rows = num_rows;
+        block.meta.trajectories = num_trajectories;
         block.meta.length = block.payload.size();
         block.meta.checksum = Checksum(block.payload);
-        block.objects = SortedUnique(
-            slice_i64(traj_objects, range.traj_begin, range.traj_end));
+        block.objects = SortedUnique(std::move(objects));
         return block;
       },
       /*grain=*/0, "store/encode");
-
-  for (EncodedBlock& block : encoded) {
-    block.meta.offset = offset_;
-    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
-    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::int64_t object : block.objects) {
-      object_blocks_[object].push_back(block_index);
-    }
-    stats_.rows += block.meta.rows;
-    stats_.trajectories += block.meta.trajectories;
-    stats_.blocks += 1;
-    stats_.payload_bytes += block.meta.length;
-    blocks_.push_back(block.meta);
-    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
-  }
-  return Status::OK();
+  return WriteBlocks(encoded);
 }
 
 Status EventStoreWriter::Finish() {
@@ -619,8 +621,10 @@ Status EventStoreWriter::Finish() {
   }
   const std::uint64_t footer_offset = offset_;
   std::string footer;
-  PutVarint64(footer, dictionary_.size());
-  for (const std::string& entry : dictionary_) footer += entry;
+  PutVarint64(footer, dictionary_sets_.size());
+  for (const core::AnnotationSet& set : dictionary_sets_) {
+    footer += EncodeAnnotationSet(set);
+  }
   PutVarint64(footer, blocks_.size());
   for (const BlockMeta& meta : blocks_) {
     PutVarint64(footer, meta.offset);
@@ -637,19 +641,32 @@ Status EventStoreWriter::Finish() {
   // section. Length framing lets readers skip unknown kinds.
   std::vector<std::pair<std::uint64_t, std::string>> sections;
   if (options_.write_object_index) {
-    std::string section;
-    PutVarint64(section, object_blocks_.size());
+    // Sorting the (object, block) pairs groups each object's posting
+    // list, ascending in both.
+    std::sort(object_blocks_.begin(), object_blocks_.end());
+    std::string postings;
+    std::uint64_t objects = 0;
     std::int64_t prev_object = 0;
-    for (const auto& [object, block_list] : object_blocks_) {
-      PutSVarint64(section, object - prev_object);
+    for (std::size_t i = 0; i < object_blocks_.size();) {
+      const std::int64_t object = object_blocks_[i].first;
+      std::size_t end = i;
+      while (end < object_blocks_.size() &&
+             object_blocks_[end].first == object) {
+        ++end;
+      }
+      ++objects;
+      PutSVarint64(postings, object - prev_object);
       prev_object = object;
-      PutVarint64(section, block_list.size());
+      PutVarint64(postings, end - i);
       std::uint32_t prev_block = 0;
-      for (std::uint32_t b : block_list) {
-        PutVarint64(section, b - prev_block);
-        prev_block = b;
+      for (; i < end; ++i) {
+        PutVarint64(postings, object_blocks_[i].second - prev_block);
+        prev_block = object_blocks_[i].second;
       }
     }
+    std::string section;
+    PutVarint64(section, objects);
+    section += postings;
     sections.emplace_back(kSectionObjectIndex, std::move(section));
   }
   if (options_.format_version >= 3 && options_.write_annotation_bitmaps) {
@@ -713,8 +730,7 @@ Status EventStoreWriter::Finish() {
   SITM_RETURN_IF_ERROR(WriteRaw(trailer));
   finished_ = true;
   stats_.file_bytes = offset_;
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
+  const int rc = std::fclose(file_.release());
   if (rc != 0) return Status::IOError("EventStore: close failed");
   return Status::OK();
 }

@@ -2,10 +2,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -188,12 +189,8 @@ class EventStoreWriter {
                                          StoreKind kind,
                                          WriterOptions options = {});
 
+  /// Movable, not copyable: the open file has one owner.
   EventStoreWriter() = default;
-  ~EventStoreWriter();
-  EventStoreWriter(EventStoreWriter&& other) noexcept;
-  EventStoreWriter& operator=(EventStoreWriter&& other) noexcept;
-  EventStoreWriter(const EventStoreWriter&) = delete;
-  EventStoreWriter& operator=(const EventStoreWriter&) = delete;
 
   /// Appends a detection batch (kDetections stores only). Rejects
   /// detections with end before start.
@@ -212,25 +209,39 @@ class EventStoreWriter {
   StoreKind kind() const { return kind_; }
 
  private:
-  [[nodiscard]] Status WriteRaw(std::string_view bytes);
-  /// Registers an annotation set in the file dictionary, returning its
-  /// index (stable across the file).
-  std::uint32_t DictionaryId(const core::AnnotationSet& set);
+  struct EncodedBlock;
+  struct FileCloser {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
 
-  std::FILE* file_ = nullptr;
+  [[nodiscard]] Status WriteRaw(std::string_view bytes);
+  /// Appends encoded blocks to the file in order and indexes them.
+  [[nodiscard]] Status WriteBlocks(std::vector<EncodedBlock>& encoded);
+  /// Registers an annotation set with content hash `hash` in the file
+  /// dictionary, returning its index (stable across the file).
+  std::uint32_t DictionaryId(const core::AnnotationSet& set,
+                             std::uint64_t hash);
+  /// DictionaryId of each set, in order.
+  std::vector<std::uint32_t> DictionaryIds(
+      const std::vector<const core::AnnotationSet*>& sets);
+
+  std::unique_ptr<std::FILE, FileCloser> file_;
   StoreKind kind_ = StoreKind::kDetections;
   WriterOptions options_;
   std::uint64_t offset_ = 0;  // current end-of-file offset
   bool finished_ = false;
   std::vector<BlockMeta> blocks_;
-  std::vector<std::string> dictionary_;  // serialized annotation sets
-  /// The decoded sets, parallel to dictionary_ (feeds the v3
-  /// annotation-bitmap section at Finish).
+  /// The file's annotation dictionary in id order (serialized at Finish,
+  /// also feeds the v3 annotation-bitmap section).
   std::vector<core::AnnotationSet> dictionary_sets_;
-  std::unordered_map<std::string, std::uint32_t> dictionary_index_;
-  /// Secondary index under construction: object id -> ascending block
-  /// indices (std::map so Finish emits objects in ascending order).
-  std::map<std::int64_t, std::vector<std::uint32_t>> object_blocks_;
+  /// Interning index over dictionary_sets_ by content: an
+  /// open-addressing table (power-of-two size, linear probing) whose
+  /// slots hold 0 for empty or id + 1, and each set's content hash.
+  std::vector<std::uint32_t> dictionary_slots_;
+  std::vector<std::uint64_t> dictionary_hashes_;
+  /// Secondary index under construction: one (object id, block index)
+  /// pair per object per block, sorted into posting lists at Finish.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> object_blocks_;
   /// Per-block sorted-unique dictionary ids (v3 annotation bitmaps).
   std::vector<std::vector<std::uint32_t>> block_dictionary_ids_;
   StoreStats stats_;

@@ -167,6 +167,51 @@ TEST(BatchPipelineTest, MatchesSequentialReferenceAtEveryPoolSize) {
   }
 }
 
+TEST(BatchPipelineTest, TiedDetectionsGroupStably) {
+  // Per object the builder sorts by (start, end) with an unstable sort,
+  // so among tied detections the input order decides which cell
+  // survives cleaning. The pipeline's grouping must hand each builder
+  // its object's detections in input order, exactly as the sequential
+  // builder's grouping does. Object ids far apart force several radix
+  // passes; the shuffle interleaves the objects.
+  std::vector<RawDetection> detections;
+  const std::int64_t objects[] = {7, 3, std::int64_t{5} << 40};
+  for (const std::int64_t object : objects) {
+    for (int i = 0; i < 60; ++i) {
+      const std::int64_t start = 1000 + (i / 12) * 300;
+      detections.emplace_back(ObjectId(object), CellId(1 + (i * 7) % 19),
+                              Timestamp(start), Timestamp(start + 120));
+    }
+  }
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  for (std::size_t i = detections.size() - 1; i > 0; --i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    std::swap(detections[i], detections[state % (i + 1)]);
+  }
+
+  TrajectoryBuilder builder{BuilderOptions{}};
+  auto reference = builder.Build(detections);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_GT(builder.report().contained_dropped, 0u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    sched::Executor::DefaultConcurrency()}) {
+    sched::Executor executor(threads);
+    PipelineOptions options;
+    options.executor = &executor;
+    options.objects_per_shard = 1;
+    BatchPipeline pipeline(options);
+    auto result = pipeline.Run(detections);
+    ASSERT_TRUE(result.ok()) << result.status() << " threads=" << threads;
+    ExpectIdentical(*reference, *result);
+    PipelineReport expected;
+    expected.build = builder.report();
+    ExpectSameReport(expected, pipeline.report());
+  }
+}
+
 TEST(BatchPipelineTest, NullExecutorIsTheSequentialPath) {
   const std::vector<RawDetection> detections = LouvreDetections(60, 99);
   PipelineReport reference_report;

@@ -742,6 +742,105 @@ TEST(EventStoreWriterTest, EmptyTraceIsRejected) {
   std::remove(path.c_str());
 }
 
+core::SemanticTrajectory OneStayTrajectory(std::int64_t id,
+                                           const std::string& tag) {
+  core::Trace trace;
+  core::PresenceInterval p;
+  p.cell = CellId(3);
+  p.interval = qsr::TimeInterval::Make(Timestamp(500), Timestamp(560)).value();
+  p.annotations.Add({core::AnnotationKind::kActivity, tag});
+  trace.Append(p);
+  return core::SemanticTrajectory(
+      TrajectoryId(id), ObjectId(id), std::move(trace),
+      core::AnnotationSet{{core::AnnotationKind::kActivity, "visit"}});
+}
+
+TEST(EventStoreWriterTest, RejectedBatchLeavesNoDictionaryEntries) {
+  // A batch whose later trajectory is invalid must be rejected before
+  // any of its annotation sets are interned: the finished file and the
+  // stats equal those of a writer that never saw the batch.
+  const std::vector<core::SemanticTrajectory> good = {
+      OneStayTrajectory(2, "kept")};
+  const std::vector<core::SemanticTrajectory> rejected = {
+      OneStayTrajectory(1, "orphan"),
+      core::SemanticTrajectory(
+          TrajectoryId(9), ObjectId(9), core::Trace(),
+          core::AnnotationSet{{core::AnnotationKind::kActivity, "visit"}})};
+
+  const std::string clean_path = TempPath("clean.evst");
+  auto clean = EventStoreWriter::Create(clean_path, StoreKind::kTrajectories);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(clean->Append(good).ok());
+  ASSERT_TRUE(clean->Finish().ok());
+
+  const std::string path = TempPath("rejected.evst");
+  auto writer = EventStoreWriter::Create(path, StoreKind::kTrajectories);
+  ASSERT_TRUE(writer.ok());
+  EXPECT_EQ(writer->Append(rejected).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(writer->stats().dictionary_entries, 0u);
+  ASSERT_TRUE(writer->Append(good).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+
+  const auto clean_bytes = io::ReadFile(clean_path);
+  const auto bytes = io::ReadFile(path);
+  ASSERT_TRUE(clean_bytes.ok());
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, *clean_bytes);
+  const StoreStats& a = writer->stats();
+  const StoreStats& b = clean->stats();
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.trajectories, b.trajectories);
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.dictionary_entries, b.dictionary_entries);
+  EXPECT_EQ(a.file_bytes, b.file_bytes);
+  std::remove(clean_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(EventStoreWriterTest, MovedWriterFinishesTheSameBytes) {
+  // Every piece of writer state (dictionary and its index, object
+  // postings, per-block ids, the open file) must survive a move made
+  // between appends.
+  const auto trajectories = BuildTrajectories(SimulatedDetections(12, 60));
+  ASSERT_GT(trajectories.size(), 4u);
+  const std::vector<core::SemanticTrajectory> first(
+      trajectories.begin(), trajectories.begin() + trajectories.size() / 2);
+  const std::vector<core::SemanticTrajectory> second(
+      trajectories.begin() + trajectories.size() / 2, trajectories.end());
+  WriterOptions options;
+  options.rows_per_block = 64;
+
+  const std::string unmoved_path = TempPath("unmoved.evst");
+  auto unmoved = EventStoreWriter::Create(unmoved_path,
+                                          StoreKind::kTrajectories, options);
+  ASSERT_TRUE(unmoved.ok());
+  ASSERT_TRUE(unmoved->Append(first).ok());
+  ASSERT_TRUE(unmoved->Append(second).ok());
+  ASSERT_TRUE(unmoved->Finish().ok());
+
+  const std::string moved_path = TempPath("moved.evst");
+  auto created = EventStoreWriter::Create(moved_path,
+                                          StoreKind::kTrajectories, options);
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(created->Append(first).ok());
+  EventStoreWriter constructed(std::move(*created));
+  EventStoreWriter assigned;
+  assigned = std::move(constructed);
+  ASSERT_TRUE(assigned.Append(second).ok());
+  ASSERT_TRUE(assigned.Finish().ok());
+  EXPECT_EQ(assigned.stats().dictionary_entries,
+            unmoved->stats().dictionary_entries);
+
+  const auto unmoved_bytes = io::ReadFile(unmoved_path);
+  const auto moved_bytes = io::ReadFile(moved_path);
+  ASSERT_TRUE(unmoved_bytes.ok());
+  ASSERT_TRUE(moved_bytes.ok());
+  EXPECT_EQ(*moved_bytes, *unmoved_bytes);
+  std::remove(unmoved_path.c_str());
+  std::remove(moved_path.c_str());
+}
+
 TEST(EventStoreWriterTest, AppendAfterFinishFails) {
   const std::string path = TempPath("finished.evst");
   auto writer = EventStoreWriter::Create(path, StoreKind::kDetections);
