@@ -6,9 +6,8 @@
 // and measures trajectories/sec for the batched build -> enrich ->
 // infer pipeline and matrix-cells/sec for the blocked distance-matrix
 // fill, at batch sizes from 10^2 to 10^5 visitors. A worker-count
-// sweep (1/2/4/hw) ablates the task-graph scheduler's chained
-// per-shard stages against a fork-join barrier baseline, and the
-// overlap run's span trace is dumped to BENCH_p2_trace.json.
+// sweep (1/2/4/hw) times the pipeline's chained per-shard stages, and
+// one run's span trace is dumped to BENCH_p2_trace.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -69,8 +68,7 @@ std::vector<core::RawDetection> Detections(int visitors) {
   return Unwrap(simulator.Generate()).ToRawDetections();
 }
 
-core::PipelineOptions FullPipeline(sched::Executor* executor,
-                                   bool barrier_stages = false) {
+core::PipelineOptions FullPipeline(sched::Executor* executor) {
   core::PipelineOptions options;
   options.builder.graph = &ZoneGraph();
   options.rules = {
@@ -84,7 +82,6 @@ core::PipelineOptions FullPipeline(sched::Executor* executor,
   };
   options.infer_hidden_passages = true;
   options.executor = executor;
-  options.barrier_stages = barrier_stages;
   return options;
 }
 
@@ -111,9 +108,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-double TimePipelineRun(sched::Executor* executor, bool barrier_stages,
+double TimePipelineRun(sched::Executor* executor,
                        const std::vector<core::RawDetection>& detections) {
-  core::BatchPipeline pipeline(FullPipeline(executor, barrier_stages));
+  core::BatchPipeline pipeline(FullPipeline(executor));
   const auto start = std::chrono::steady_clock::now();
   const auto result = pipeline.Run(detections);
   const double seconds = SecondsSince(start);
@@ -145,36 +142,20 @@ void Report() {
         static_cast<double>(num_detections) / seconds);
   }
 
-  // Stage-topology ablation across the worker sweep: the same batch run
-  // with a fork-join barrier between build and enrich (what the old
-  // pool-based pipeline did) vs the scheduler's chained per-shard
-  // stages, where shard s enriches as soon as *its own* build finishes.
+  // Worker sweep: the same batch at every worker count, speedup
+  // against one worker.
   {
     const std::vector<core::RawDetection> detections = Detections(10000);
-    double best_overlap_speedup = 0.0;
+    double one_worker_s = 0.0;
     for (const std::size_t workers : WorkerCounts()) {
       sched::Executor executor(workers);
-      // One warm-up run per topology, then the measured run.
-      TimePipelineRun(&executor, true, detections);
-      const double barrier_s = TimePipelineRun(&executor, true, detections);
-      TimePipelineRun(&executor, false, detections);
-      const double overlap_s = TimePipelineRun(&executor, false, detections);
-      const double speedup = barrier_s / overlap_s;
-      if (workers >= 2) {
-        best_overlap_speedup = std::max(best_overlap_speedup, speedup);
-      }
+      TimePipelineRun(&executor, detections);  // warm-up
+      const double seconds = TimePipelineRun(&executor, detections);
+      if (one_worker_s == 0.0) one_worker_s = seconds;
       std::printf(
-          "  pipeline batch=10000  workers=%-2zu barrier %7.3f s  "
-          "chained %7.3f s  overlap speedup %.2fx\n",
-          workers, barrier_s, overlap_s, speedup);
-    }
-    if (sched::Executor::DefaultConcurrency() >= 2 &&
-        best_overlap_speedup < 1.15) {
-      std::fprintf(stderr,
-                   "BENCH P2 WARNING: stage overlap peaked at %.2fx vs the "
-                   "fork-join barrier (acceptance target >= 1.15x at >= 2 "
-                   "workers)\n",
-                   best_overlap_speedup);
+          "  pipeline batch=10000  workers=%-2zu %7.3f s  speedup vs 1 "
+          "worker %.2fx\n",
+          workers, seconds, one_worker_s / seconds);
     }
 
     // Span-trace artifact: one chained run at >= 2 workers, scoped by
@@ -182,7 +163,7 @@ void Report() {
     sched::Executor traced(
         std::max<std::size_t>(2, sched::Executor::DefaultConcurrency()));
     traced.trace().Clear();
-    TimePipelineRun(&traced, false, detections);
+    TimePipelineRun(&traced, detections);
     Check(traced.trace().WriteJson("BENCH_p2_trace.json"));
     std::printf("  span trace: %zu spans -> BENCH_p2_trace.json\n",
                 traced.trace().Spans().size());

@@ -44,18 +44,50 @@ struct PipelineOptions {
   TaskRunner* executor = nullptr;
 
   /// Moving objects per build shard (>= 1; smaller shards balance
-  /// better, larger ones amortize per-shard builder setup).
+  /// better, larger ones amortize per-shard task overhead).
   std::size_t objects_per_shard = 32;
-
-  /// When true, inserts a barrier between the build and enrich/infer
-  /// stages, reproducing the old fork-join schedule (every shard builds
-  /// before any shard enriches). Output is byte-identical either way;
-  /// this exists as the ablation baseline for the stage-overlap
-  /// speedup measured in bench_p2.
-  bool barrier_stages = false;
 };
 
-/// Merged counters of one Run() call: per-shard BuildReports and
+/// \brief The per-trajectory stage — enrichment, then hidden-passage
+/// inference — with its options checked and its graphs resolved once.
+/// BatchPipeline applies it to every built trajectory and
+/// live::IncrementalBuilder to every finalized one. Both stages read
+/// only the trajectory's trace, never its id or other trajectories, so
+/// applying it at build time or at finalization gives the same result.
+class TrajectoryStage {
+ public:
+  /// A stage that does nothing.
+  TrajectoryStage() = default;
+
+  /// Checks the options of a build and of its per-trajectory stage, and
+  /// resolves the graph defaults: enrichment falls back to
+  /// `builder.graph`, inference to the enrichment graph. InvalidArgument
+  /// when CheckBuilderOptions fails or a requested stage has no graph.
+  /// `rules` and `inference` are borrowed and must outlive the stage.
+  [[nodiscard]] static Result<TrajectoryStage> Make(
+      const BuilderOptions& builder, const std::vector<EnrichmentRule>& rules,
+      const indoor::Nrg* enrichment_graph, bool infer_hidden_passages,
+      const InferenceOptions& inference, const indoor::Nrg* inference_graph);
+
+  /// Whether Apply changes anything.
+  bool enabled() const { return rules_ != nullptr || inference_ != nullptr; }
+
+  /// Enriches, then infers hidden passages in `trajectory`, in place;
+  /// adds what each stage did to `enrichment` and `inference`.
+  [[nodiscard]] Status Apply(SemanticTrajectory* trajectory,
+                             EnrichmentReport* enrichment,
+                             InferenceReport* inference) const;
+
+ private:
+  /// Null when enrichment is off (no rules).
+  const std::vector<EnrichmentRule>* rules_ = nullptr;
+  const indoor::Nrg* enrichment_graph_ = nullptr;
+  /// Null when inference is off.
+  const InferenceOptions* inference_ = nullptr;
+  const indoor::Nrg* inference_graph_ = nullptr;
+};
+
+/// Merged counters of one Run() call: per-shard cleaning counters and
 /// per-trajectory Enrichment/InferenceReports summed field by field.
 struct PipelineReport {
   BuildReport build;
@@ -70,12 +102,12 @@ struct PipelineReport {
 /// The Louvre study's workload shape (§4): millions of zone detections
 /// turned into semantic trajectories before any mining can start. Raw
 /// detections are grouped by moving object and objects are sharded;
-/// each shard is a build task chained to an enrich+infer task in one
-/// task graph, so a shard that finishes building is enriched while
-/// later shards are still building — no global stage barriers (unless
-/// `barrier_stages` asks for the fork-join baseline). The merged
-/// trajectories are renumbered to the exact ids the sequential builder
-/// would have assigned.
+/// each shard is a build task (a TraceAssembler driven over each of its
+/// objects) chained to a TrajectoryStage task in one task graph, so a
+/// shard that finishes building is enriched while later shards are
+/// still building — no global stage barrier. The merged trajectories
+/// are renumbered to the exact ids the sequential builder would have
+/// assigned.
 ///
 /// Determinism: for the same input and options, the output — ids,
 /// traces, annotations, and the merged report — is byte-identical to

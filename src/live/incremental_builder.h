@@ -6,18 +6,15 @@
 
 #include "base/result.h"
 #include "core/builder.h"
-#include "core/enrichment.h"
-#include "core/inference.h"
-#include "core/trajectory.h"
+#include "core/pipeline.h"
 #include "indoor/nrg.h"
 
 namespace sitm::live {
 
-/// Options for the streaming builder. `builder` carries the exact
-/// cleaning/assembly knobs of the batch core::TrajectoryBuilder; the
-/// enrichment/inference fields mirror core::PipelineOptions (same graph
-/// defaulting), so a stream finalized here goes through the same
-/// per-trajectory stages a BatchPipeline run would apply.
+/// Options for the streaming builder. `builder` carries the cleaning
+/// and assembly options of core::TrajectoryBuilder; the
+/// enrichment/inference fields mirror core::PipelineOptions and resolve
+/// through the same core::TrajectoryStage.
 struct IncrementalOptions {
   core::BuilderOptions builder;
 
@@ -30,13 +27,11 @@ struct IncrementalOptions {
 
   /// Bound on tracked moving objects (0 = unbounded). When exceeded,
   /// the least-recently-active object is force-finalized and forgotten
-  /// — see IncrementalBuilder's eviction note for the (documented,
-  /// counted) divergence from batch semantics this can introduce.
+  /// (see IncrementalBuilder's eviction note).
   std::size_t max_open_objects = 0;
 
   /// Enrichment rules applied to every finalized trajectory; empty =
-  /// skip. Graph defaulting matches core::PipelineOptions: enrichment
-  /// falls back to builder.graph, inference to the enrichment graph.
+  /// skip. Graph defaulting is core::TrajectoryStage's.
   std::vector<core::EnrichmentRule> rules;
   const indoor::Nrg* enrichment_graph = nullptr;
   bool infer_hidden_passages = false;
@@ -60,49 +55,39 @@ struct IncrementalStats {
   /// High-water marks of the two fields above.
   std::size_t peak_open_objects = 0;
   std::size_t peak_buffered_detections = 0;
+  /// What the cleaning rules dropped, clipped and merged so far; after
+  /// Drain() these equal the batch build's counters over the admitted
+  /// detections.
+  core::CleaningCounters cleaning;
 };
 
-/// \brief Streaming counterpart of core::TrajectoryBuilder +
-/// BatchPipeline's per-trajectory stages: consumes raw detections out
-/// of arrival order and emits finalized semantic trajectories once the
-/// watermark guarantees no earlier-sorting detection can still arrive.
+/// \brief Streaming counterpart of core::BatchPipeline: a
+/// core::TraceAssembler per object, fed in watermark order, and a
+/// core::TrajectoryStage applied to every finalized trajectory.
 ///
-/// Equivalence contract (pinned by tests/live_equivalence_property_test
-/// through the full live stack): feed any permutation of a detection
-/// set in batches whose lateness stays within `allowed_lateness` (or
-/// finish with Drain()), and the finalized trajectories are exactly the
-/// batch build of that set — same traces, same annotations — up to
-/// trajectory ids, which are assigned in *finalization* order here
-/// (batch order is the global (object, start) rank, unknowable online;
-/// live::SegmentStore::Snapshot re-derives the canonical ids).
+/// The watermark W = max start seen - allowed_lateness makes the feed
+/// order the batch order: each object feeds its DetectionBefore-sorted
+/// pending prefix with start < W, and every later admission starts at
+/// or after W (earlier ones are dropped as late). An open trace
+/// finalizes once W - its end exceeds the session gap, since any later
+/// detection would open a new session there too. So any admissible
+/// arrival order, finished with Drain(), finalizes exactly the batch
+/// build with the same cleaning counters, up to trajectory ids, which
+/// follow finalization order (live::SegmentStore::Snapshot re-derives
+/// the canonical ones). tests/live_equivalence_property_test pins this.
 ///
-/// Why the watermark suffices:
-///  - Consumption takes, per object, the sorted (start, end) prefix
-///    with start strictly below the watermark W. Every consumed
-///    detection started before any future admission (late arrivals
-///    below W are dropped by definition), and a tie at W stays
-///    buffered — an equal-start, smaller-end arrival must still sort
-///    first — so the consumed sequence IS the batch sort order.
-///  - Cleaning state (the last *kept* detection) persists per object
-///    across session splits, exactly like the batch cleaning pass,
-///    which runs over the whole object before any splitting.
-///  - An open trace flushes once W - trace.end() exceeds the session
-///    gap: any future detection starts at or after W, so its gap from
-///    the trace is even larger (overlap clipping only moves starts
-///    later) and the batch builder would split there too.
-///
-/// Eviction divergence: force-finalizing an object consumes its whole
-/// buffer and drops its cleaning state, so a detection of that object
-/// arriving later is cleaned against nothing and starts a new session
-/// — batch would have seen both. This is the deliberate bounded-memory
-/// trade; it is counted (evicted_objects) and exercised by
-/// bench_s1_streaming_ingest, while the equivalence test runs with
-/// bounds the stream never hits.
+/// Eviction forgets an object's last kept detection: the one counted
+/// (evicted_objects) divergence from batch.
 ///
 /// Not thread-safe: callers (live::LiveService) serialize access.
 class IncrementalBuilder {
  public:
   explicit IncrementalBuilder(IncrementalOptions options);
+
+  /// Not copyable or movable: the per-object assemblers and the stage
+  /// borrow `options_`.
+  IncrementalBuilder(const IncrementalBuilder&) = delete;
+  IncrementalBuilder& operator=(const IncrementalBuilder&) = delete;
 
   /// Ingests one batch (any order, any objects), appending every
   /// trajectory finalized by the resulting watermark advance — and by
@@ -124,40 +109,32 @@ class IncrementalBuilder {
 
  private:
   struct ObjectState {
-    /// Admitted, not yet consumed; kept sorted by (start, end) lazily
-    /// (sorted at consumption).
+    explicit ObjectState(const core::BuilderOptions& options)
+        : assembler(options) {}
+    /// Admitted, not yet fed to the assembler; sorted at consumption.
     std::vector<core::RawDetection> pending;
-    /// Cleaning state: the last detection the cleaning pass kept.
-    bool has_prev_clean = false;
-    core::RawDetection prev_clean;
-    /// The open (being-assembled) trajectory.
-    core::Trace trace;
+    core::TraceAssembler assembler;
     /// Ingest-sequence number of the last admission (eviction order).
     std::uint64_t last_activity = 0;
   };
 
-  [[nodiscard]] Status CheckConfig() const;
-  /// Consumes `state`'s sorted pending prefix below `watermark` (all of
-  /// it when `consume_all`) through cleaning + assembly.
+  /// Feeds `state`'s sorted pending prefix below `watermark` (all of it
+  /// when `consume_all`) to its assembler.
   [[nodiscard]] Status ConsumeReady(ObjectId object, ObjectState& state,
                                     Timestamp watermark, bool consume_all,
                                     std::vector<core::SemanticTrajectory>* out);
-  /// One cleaned detection through session split / merge / append —
-  /// the exact batch assembly step.
-  [[nodiscard]] Status Assemble(ObjectId object, ObjectState& state,
-                                const core::RawDetection& cur,
+  /// Turns a closed trace (no-op when empty) into a validated, staged
+  /// trajectory in `out`.
+  [[nodiscard]] Status Finalize(ObjectId object, core::Trace trace,
                                 std::vector<core::SemanticTrajectory>* out);
-  /// Finalizes the open trace (validate, enrich, infer) into `out`.
-  [[nodiscard]] Status FlushTrace(ObjectId object, ObjectState& state,
-                                  std::vector<core::SemanticTrajectory>* out);
   /// Force-finalizes and forgets the least-recently-active object.
   [[nodiscard]] Status EvictOne(std::vector<core::SemanticTrajectory>* out);
   void UpdateFootprint();
 
   IncrementalOptions options_;
-  /// Resolved per-trajectory stage graphs (PipelineOptions defaulting).
-  const indoor::Nrg* enrich_graph_ = nullptr;
-  const indoor::Nrg* infer_graph_ = nullptr;
+  /// The options check's outcome, returned by every Ingest/Drain.
+  Status config_;
+  core::TrajectoryStage stage_;
   /// Ordered so watermark sweeps visit objects deterministically.
   std::map<ObjectId, ObjectState> objects_;
   bool has_max_start_ = false;

@@ -136,6 +136,17 @@ io::JsonValue RenderStats(const IncrementalStats& builder,
           static_cast<std::int64_t>(builder.peak_open_objects));
   MustSet(b, "peak_buffered_detections",
           static_cast<std::int64_t>(builder.peak_buffered_detections));
+  const core::CleaningCounters& cleaning = builder.cleaning;
+  MustSet(b, "zero_duration_dropped",
+          static_cast<std::int64_t>(cleaning.zero_duration_dropped));
+  MustSet(b, "overlaps_clipped",
+          static_cast<std::int64_t>(cleaning.overlaps_clipped));
+  MustSet(b, "contained_dropped",
+          static_cast<std::int64_t>(cleaning.contained_dropped));
+  MustSet(b, "graph_inconsistent_dropped",
+          static_cast<std::int64_t>(cleaning.graph_inconsistent_dropped));
+  MustSet(b, "merged_same_cell",
+          static_cast<std::int64_t>(cleaning.merged_same_cell));
   MustSet(doc, "builder", std::move(b));
 
   io::JsonValue s{io::JsonValue::Object{}};

@@ -29,9 +29,8 @@ namespace sitm::sched {
 /// every worker is busy with other runs — which also makes nested Run()
 /// (a graph node running its own ParallelFor) deadlock-free.
 ///
-/// Determinism contract: scheduling order is unspecified, so — exactly
-/// as with the fork-join pool this replaces — deterministic results are
-/// the graph author's obligation: every task writes its own pre-assigned
+/// Determinism contract: scheduling order is unspecified, so
+/// deterministic results are the graph author's obligation: every task writes its own pre-assigned
 /// slot and merged output is folded in task-id order, never completion
 /// order. All sched-facing layers in this codebase follow that rule,
 /// which is why their output is byte-identical at every worker count.
@@ -72,8 +71,8 @@ class Executor : public TaskRunner {
   /// Executes `graph` to completion (validating it first) and returns
   /// the lowest-id task failure, if any. Safe to call concurrently from
   /// any thread, including from inside a task of this executor. After
-  /// Shutdown() the graph runs inline on the calling thread (mirroring
-  /// ThreadPool::Submit-after-shutdown), still deterministically.
+  /// Shutdown() the graph runs inline on the calling thread, still
+  /// deterministically.
   [[nodiscard]] Status Run(TaskGraph graph) override SITM_EXCLUDES(mutex_);
 
   /// Truly detached submission: the graph is seeded onto the workers and

@@ -14,7 +14,7 @@ void ParallelFor(TaskRunner* runner, std::size_t n,
   if (grain == 0) {
     // ~4 chunks per participant (workers + the calling thread): enough
     // slack for stealing to balance without drowning in dispatch
-    // overhead. Same formula as the fork-join substrate this replaces.
+    // overhead.
     grain = std::max<std::size_t>(1, n / ((workers + 1) * 4));
   }
   const std::size_t num_chunks = (n + grain - 1) / grain;
@@ -35,7 +35,7 @@ void ParallelFor(TaskRunner* runner, std::size_t n,
   if (!status.ok()) {
     // The only failure an edge-free chunk graph can produce is a body
     // that threw; loop bodies are contract-bound not to (errors travel
-    // through Status slots), so mirror the old pool's terminate.
+    // through Status slots), so treat it as fatal.
     std::fprintf(stderr, "sched::ParallelFor(%s): %s\n", name,
                  status.message().c_str());
     std::abort();

@@ -12,9 +12,8 @@ namespace sitm::sched {
 /// \brief Runs `body(begin, end)` over chunks partitioning [0, n) as a
 /// flat task graph on `runner`.
 ///
-/// Drop-in successor of the fork-join base ParallelFor: identical chunk
-/// formula, caller participation (via TaskRunner::Run), and inline
-/// execution when `runner` is null or there is only one chunk. Chunk
+/// The calling thread participates (via TaskRunner::Run), and the loop
+/// runs inline when `runner` is null or there is only one chunk. Chunk
 /// boundaries remain a function of (n, grain) only — never of the
 /// worker count — so per-chunk initialization (e.g. seeding) stays
 /// reproducible across worker counts.
@@ -26,8 +25,7 @@ namespace sitm::sched {
 ///
 /// `grain` is the chunk length; 0 picks one yielding ~4 chunks per
 /// participant. `name` labels the chunk tasks in the trace. The body
-/// must not throw: an escaping exception aborts the process, exactly as
-/// it terminated a fork-join pool worker before.
+/// must not throw: an escaping exception aborts the process.
 void ParallelFor(TaskRunner* runner, std::size_t n,
                  const std::function<void(std::size_t, std::size_t)>& body,
                  std::size_t grain = 0, const char* name = "for");

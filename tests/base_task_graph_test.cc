@@ -79,8 +79,8 @@ TEST(TaskGraphTest, DuplicateEdgesAreHarmless) {
 }
 
 TEST(TaskGraphTest, BarrierNodesCarryNoBodyButStillOrder) {
-  // A null fn is a pure synchronization point (what the pipeline's
-  // barrier_stages ablation inserts between build and enrich).
+  // A null fn is a pure synchronization point: a join that orders
+  // every predecessor before every successor.
   TaskGraph graph;
   std::vector<std::string> sequence;
   const TaskId before = graph.AddTask("before", [&] {

@@ -147,33 +147,28 @@ TEST(BatchPipelineTest, MatchesSequentialReferenceAtEveryPoolSize) {
     sched::Executor executor(threads);
     for (const std::size_t per_shard : {std::size_t{1}, std::size_t{7},
                                         std::size_t{1000}}) {
-      for (const bool barrier : {false, true}) {
-        PipelineOptions options = BaseOptions();
-        options.executor = &executor;
-        options.objects_per_shard = per_shard;
-        options.barrier_stages = barrier;
-        BatchPipeline pipeline(options);
-        auto result = pipeline.Run(detections);
-        ASSERT_TRUE(result.ok())
-            << result.status() << " threads=" << threads
-            << " per_shard=" << per_shard << " barrier=" << barrier;
-        ExpectIdentical(reference, *result);
-        ExpectSameReport(reference_report, pipeline.report());
-        EXPECT_EQ(pipeline.report().shards,
-                  (pipeline.report().build.objects_seen + per_shard - 1) /
-                      per_shard);
-      }
+      PipelineOptions options = BaseOptions();
+      options.executor = &executor;
+      options.objects_per_shard = per_shard;
+      BatchPipeline pipeline(options);
+      auto result = pipeline.Run(detections);
+      ASSERT_TRUE(result.ok()) << result.status() << " threads=" << threads
+                               << " per_shard=" << per_shard;
+      ExpectIdentical(reference, *result);
+      ExpectSameReport(reference_report, pipeline.report());
+      EXPECT_EQ(pipeline.report().shards,
+                (pipeline.report().build.objects_seen + per_shard - 1) /
+                    per_shard);
     }
   }
 }
 
 TEST(BatchPipelineTest, TiedDetectionsGroupStably) {
-  // Per object the builder sorts by (start, end) with an unstable sort,
-  // so among tied detections the input order decides which cell
-  // survives cleaning. The pipeline's grouping must hand each builder
-  // its object's detections in input order, exactly as the sequential
-  // builder's grouping does. Object ids far apart force several radix
-  // passes; the shuffle interleaves the objects.
+  // Tied (start, end) detections of one object: the assembly order
+  // (start, end, cell) decides which cell survives cleaning, so the
+  // pipeline must match the sequential builder whatever the input order
+  // and sharding. Object ids far apart force several radix passes; the
+  // shuffle interleaves the objects.
   std::vector<RawDetection> detections;
   const std::int64_t objects[] = {7, 3, std::int64_t{5} << 40};
   for (const std::int64_t object : objects) {

@@ -273,6 +273,15 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
       // The lateness bound was computed to admit everything.
       EXPECT_EQ(builder.stats().late_dropped, 0u);
       EXPECT_EQ(builder.stats().finalized, reference->size());
+      // Both paths clean through the same kernel, so they count alike.
+      const core::CleaningCounters& live = builder.stats().cleaning;
+      const core::BuildReport& built = batch.report().build;
+      EXPECT_EQ(live.zero_duration_dropped, built.zero_duration_dropped);
+      EXPECT_EQ(live.overlaps_clipped, built.overlaps_clipped);
+      EXPECT_EQ(live.contained_dropped, built.contained_dropped);
+      EXPECT_EQ(live.graph_inconsistent_dropped,
+                built.graph_inconsistent_dropped);
+      EXPECT_EQ(live.merged_same_cell, built.merged_same_cell);
 
       // Query over the live view: sealed segments + unsealed tail.
       auto snapshot = store.Snapshot(

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "indoor/nrg.h"
 
 namespace sitm::live {
 namespace {
@@ -141,6 +142,109 @@ TEST(IncrementalBuilderTest, OutOfOrderMatchesInOrder) {
     EXPECT_EQ(a[i].trace().intervals(), b[i].trace().intervals()) << i;
     EXPECT_EQ(a[i].annotations(), b[i].annotations()) << i;
   }
+}
+
+/// Ingests `stream` one detection per batch, drains, and returns what
+/// was finalized.
+std::vector<core::SemanticTrajectory> StreamAll(
+    IncrementalBuilder* builder, const std::vector<core::RawDetection>& stream) {
+  std::vector<core::SemanticTrajectory> out;
+  for (const core::RawDetection& d : stream) {
+    EXPECT_TRUE(builder->Ingest({d}, &out).ok());
+  }
+  EXPECT_TRUE(builder->Drain(&out).ok());
+  return out;
+}
+
+void ExpectSameCleaning(const core::CleaningCounters& batch,
+                        const core::CleaningCounters& live) {
+  EXPECT_EQ(batch.zero_duration_dropped, live.zero_duration_dropped);
+  EXPECT_EQ(batch.overlaps_clipped, live.overlaps_clipped);
+  EXPECT_EQ(batch.contained_dropped, live.contained_dropped);
+  EXPECT_EQ(batch.graph_inconsistent_dropped,
+            live.graph_inconsistent_dropped);
+  EXPECT_EQ(batch.merged_same_cell, live.merged_same_cell);
+}
+
+TEST(IncrementalBuilderTest, SameStartEndTiesResolveLikeBatch) {
+  // Two detections of one object tie on (start, end): the one in the
+  // lower cell sorts first and the other is dropped as contained,
+  // whatever the input order and on either path.
+  const core::RawDetection a = D(1, 10, 1000, 1060);
+  const core::RawDetection b = D(1, 20, 1000, 1060);
+  core::TrajectoryBuilder batch;
+  auto ab = batch.Build({a, b});
+  auto ba = batch.Build({b, a});
+  ASSERT_TRUE(ab.ok() && ba.ok());
+
+  IncrementalOptions options;
+  options.allowed_lateness = Duration::Hours(24);
+  IncrementalBuilder builder(options);
+  const std::vector<core::SemanticTrajectory> live =
+      StreamAll(&builder, {b, a});
+
+  ASSERT_EQ(ab->size(), 1u);
+  ASSERT_EQ(ba->size(), 1u);
+  ASSERT_EQ(live.size(), 1u);
+  ASSERT_EQ((*ab)[0].trace().size(), 1u);
+  EXPECT_EQ((*ab)[0].trace().intervals()[0].cell, CellId(10));
+  EXPECT_EQ((*ba)[0].trace().intervals(), (*ab)[0].trace().intervals());
+  EXPECT_EQ(live[0].trace().intervals(), (*ab)[0].trace().intervals());
+  EXPECT_EQ(builder.stats().cleaning.contained_dropped, 1u);
+}
+
+TEST(IncrementalBuilderTest, GraphFilterMatchesBatch) {
+  // Cells 10-20-40 are connected, 30 is not: with the graph filter on,
+  // both paths drop the teleports to 30 and count them alike.
+  indoor::Nrg graph;
+  for (int id : {10, 20, 30, 40}) {
+    ASSERT_TRUE(graph
+                    .AddCell(indoor::CellSpace(CellId(id), "c",
+                                               indoor::CellClass::kRoom))
+                    .ok());
+  }
+  ASSERT_TRUE(graph
+                  .AddSymmetricEdge(CellId(10), CellId(20),
+                                    indoor::EdgeType::kAccessibility)
+                  .ok());
+  ASSERT_TRUE(graph
+                  .AddSymmetricEdge(CellId(20), CellId(40),
+                                    indoor::EdgeType::kAccessibility)
+                  .ok());
+  const std::vector<core::RawDetection> in_order = {
+      D(1, 10, 0, 100),     D(1, 30, 150, 200),  D(1, 20, 250, 300),
+      D(1, 20, 290, 400),   D(1, 40, 500, 600),  D(1, 30, 650, 700),
+      D(2, 40, 100, 200),   D(2, 10, 260, 300),  D(2, 30, 20000, 20100),
+      D(2, 20, 20200, 20300),
+  };
+  const std::vector<core::RawDetection> shuffled = {
+      in_order[5], in_order[8], in_order[1], in_order[9], in_order[0],
+      in_order[3], in_order[7], in_order[2], in_order[6], in_order[4],
+  };
+
+  core::BuilderOptions builder_options;
+  builder_options.graph = &graph;
+  builder_options.drop_graph_inconsistent = true;
+  core::TrajectoryBuilder batch(builder_options);
+  auto expected = batch.Build(in_order);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(batch.report().graph_inconsistent_dropped, 3u);
+
+  IncrementalOptions options;
+  options.builder = builder_options;
+  options.allowed_lateness = Duration::Hours(24);
+  IncrementalBuilder builder(options);
+  const std::vector<core::SemanticTrajectory> live =
+      StreamAll(&builder, shuffled);
+  ASSERT_EQ(live.size(), expected->size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    // Nothing finalizes before Drain, which goes in (object, start)
+    // order: the batch order.
+    EXPECT_EQ(live[i].object(), (*expected)[i].object()) << i;
+    EXPECT_EQ(live[i].trace().intervals(), (*expected)[i].trace().intervals())
+        << i;
+  }
+  ExpectSameCleaning(batch.report(), builder.stats().cleaning);
 }
 
 TEST(IncrementalBuilderTest, EvictionBoundsOpenObjects) {

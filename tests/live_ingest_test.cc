@@ -143,6 +143,8 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   builder.late_dropped = 2;
   builder.finalized = 3;
   builder.peak_open_objects = 4;
+  builder.cleaning.contained_dropped = 6;
+  builder.cleaning.merged_same_cell = 7;
   SegmentStoreStats store;
   store.segments = 5;
   store.compactions = 1;
@@ -157,6 +159,9 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   EXPECT_EQ(b->Get("records_in").value()->AsInt().value(), 10);
   EXPECT_EQ(b->Get("late_dropped").value()->AsInt().value(), 2);
   EXPECT_EQ(b->Get("peak_open_objects").value()->AsInt().value(), 4);
+  EXPECT_EQ(b->Get("contained_dropped").value()->AsInt().value(), 6);
+  EXPECT_EQ(b->Get("merged_same_cell").value()->AsInt().value(), 7);
+  EXPECT_EQ(b->Get("zero_duration_dropped").value()->AsInt().value(), 0);
   const io::JsonValue* s = parsed->Get("store").value();
   EXPECT_EQ(s->Get("segments").value()->AsInt().value(), 5);
   EXPECT_EQ(s->Get("compactions").value()->AsInt().value(), 1);

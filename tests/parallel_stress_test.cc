@@ -1,29 +1,30 @@
-// Stress harness for the parallel substrates — the base/parallel pool
-// and the sched task-graph executor — written to run under TSan (ctest
-// label: parallel): every scenario here is about *schedule* coverage,
-// not output checking alone — nested submission, exceptions thrown and
-// handled inside tasks, pool teardown racing a full queue,
-// ParallelFor/ParallelMap hammered from many callers at once, and
-// task-graph shapes (diamonds, fan-out/fan-in) under steal pressure.
-// The determinism contract ("byte-identical at every worker count") is
-// only credible if a race detector stays silent on exactly these
-// shapes.
+// Stress harness for the parallel runtime — the sched task-graph
+// executor and its ParallelFor/ParallelMap adapters — written to run
+// under TSan (ctest label: parallel): every scenario here is about
+// *schedule* coverage, not output checking alone — detached submission
+// from many threads and from inside tasks, exceptions thrown and
+// handled inside tasks, teardown racing queued work, ParallelFor/
+// ParallelMap hammered from many callers at once, and task-graph shapes
+// (diamonds, fan-out/fan-in) under steal pressure. The determinism
+// contract ("byte-identical at every worker count") is only credible if
+// a race detector stays silent on exactly these shapes.
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "base/parallel.h"
 #include "core/pipeline.h"
 #include "louvre/museum.h"
 #include "louvre/simulator.h"
@@ -38,19 +39,27 @@
 namespace sitm {
 namespace {
 
-std::size_t Hc() { return ThreadPool::DefaultConcurrency(); }
+std::size_t Hc() { return sched::Executor::DefaultConcurrency(); }
 
-// Pool sizes the contract is pinned at: minimal contention (2) and the
-// hardware concurrency of the machine running the test.
+// Worker counts the contract is pinned at: minimal contention (2) and
+// the hardware concurrency of the machine running the test.
 std::vector<std::size_t> StressPoolSizes() {
   std::vector<std::size_t> sizes{2};
   if (Hc() != 2) sizes.push_back(Hc());
   return sizes;
 }
 
+/// Detached fire-and-forget submission of one task; Shutdown() (or the
+/// destructor) drains it.
+void SubmitOne(sched::Executor& executor, std::function<void()> fn) {
+  TaskGraph graph;
+  graph.AddTask("submitted", std::move(fn));
+  executor.Submit(std::move(graph), {});
+}
+
 TEST(ParallelStressTest, ManySubmittersOneConsumerCounter) {
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
+    sched::Executor executor(pool_size);
     std::atomic<int> counter{0};
     constexpr int kSubmitters = 4;
     constexpr int kTasksEach = 256;
@@ -59,49 +68,51 @@ TEST(ParallelStressTest, ManySubmittersOneConsumerCounter) {
     std::vector<std::thread> submitters;
     submitters.reserve(kSubmitters);
     for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &counter] {
+      submitters.emplace_back([&executor, &counter] {
         for (int i = 0; i < kTasksEach; ++i) {
-          pool.Submit([&counter] { counter.fetch_add(1); });
+          SubmitOne(executor, [&counter] { counter.fetch_add(1); });
         }
       });
     }
     for (std::thread& t : submitters) t.join();  // sitm-lint: allow(naked-thread)
-    pool.WaitIdle();
+    executor.Shutdown();
     EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
   }
 }
 
 TEST(ParallelStressTest, NestedSubmissionFromInsideTasks) {
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
+    sched::Executor executor(pool_size);
     std::atomic<int> leaves{0};
     constexpr int kRoots = 64;
     constexpr int kChildren = 8;
     for (int r = 0; r < kRoots; ++r) {
-      pool.Submit([&pool, &leaves] {
+      SubmitOne(executor, [&executor, &leaves] {
         for (int c = 0; c < kChildren; ++c) {
-          pool.Submit([&leaves] { leaves.fetch_add(1); });
+          SubmitOne(executor, [&leaves] { leaves.fetch_add(1); });
         }
       });
     }
-    // WaitIdle must cover tasks submitted *by* tasks: in_flight_ counts
-    // the children before any root finishes decrementing it to zero.
-    pool.WaitIdle();
+    // Shutdown must cover graphs submitted *by* tasks: a child submitted
+    // while Shutdown drains either joins the active runs or, once the
+    // executor is shut, runs inline on its submitter.
+    executor.Shutdown();
     EXPECT_EQ(leaves.load(), kRoots * kChildren);
   }
 }
 
 TEST(ParallelStressTest, ExceptionsThrownAndCaughtInsideTasks) {
-  // The pool contract forbids exceptions *escaping* a task; throwing and
-  // catching inside one is ordinary control flow, and the unwinding must
-  // not corrupt queue state or lose the in-flight count.
+  // Throwing and catching inside a task is ordinary control flow; the
+  // unwinding must not corrupt deque state or lose a run's pending
+  // count.
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
+    sched::Executor executor(pool_size);
     std::atomic<int> caught{0};
     std::atomic<int> clean{0};
     constexpr int kTasks = 512;
+    TaskGraph graph;
     for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([i, &caught, &clean] {
+      graph.AddTask("work", [i, &caught, &clean] {
         try {
           if (i % 3 == 0) throw std::runtime_error("expected");
           clean.fetch_add(1);
@@ -110,25 +121,26 @@ TEST(ParallelStressTest, ExceptionsThrownAndCaughtInsideTasks) {
         }
       });
     }
-    pool.WaitIdle();
+    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
     EXPECT_EQ(caught.load() + clean.load(), kTasks);
     EXPECT_EQ(caught.load(), (kTasks + 2) / 3);
   }
 }
 
 TEST(ParallelStressTest, TeardownWithFullQueue) {
-  // Destroying a pool right after flooding it races ~shutdown against
-  // workers mid-dequeue; the destructor must drain everything first.
+  // Destroying an executor right after flooding it with detached
+  // graphs races its shutdown against workers mid-dequeue; the
+  // destructor must drain everything first.
   for (const std::size_t pool_size : StressPoolSizes()) {
     for (int round = 0; round < 16; ++round) {
       auto counter = std::make_shared<std::atomic<int>>(0);
       constexpr int kTasks = 128;
       {
-        ThreadPool pool(pool_size);
+        sched::Executor executor(pool_size);
         for (int i = 0; i < kTasks; ++i) {
-          pool.Submit([counter] { counter->fetch_add(1); });
+          SubmitOne(executor, [counter] { counter->fetch_add(1); });
         }
-        // No WaitIdle: the destructor itself is the barrier under test.
+        // No Shutdown: the destructor itself is the barrier under test.
       }
       EXPECT_EQ(counter->load(), kTasks);
     }
@@ -137,7 +149,7 @@ TEST(ParallelStressTest, TeardownWithFullQueue) {
 
 TEST(ParallelStressTest, ConcurrentParallelForCallersShareOnePool) {
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
+    sched::Executor executor(pool_size);
     constexpr int kCallers = 4;
     constexpr std::size_t kN = 4096;
     std::vector<std::vector<int>> outputs(kCallers,
@@ -146,10 +158,10 @@ TEST(ParallelStressTest, ConcurrentParallelForCallersShareOnePool) {
     std::vector<std::thread> callers;
     callers.reserve(kCallers);
     for (int c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&pool, &outputs, c] {
+      callers.emplace_back([&executor, &outputs, c] {
         std::vector<int>& out = outputs[c];
-        ParallelFor(
-            &pool, kN,
+        sched::ParallelFor(
+            &executor, kN,
             [&out, c](std::size_t begin, std::size_t end) {
               for (std::size_t i = begin; i < end; ++i) {
                 out[i] = static_cast<int>(i) + c;
@@ -168,21 +180,21 @@ TEST(ParallelStressTest, ConcurrentParallelForCallersShareOnePool) {
 }
 
 TEST(ParallelStressTest, NestedParallelForInsidePoolTasks) {
-  // The pipeline nests ParallelFor (over store blocks) inside pool tasks
+  // Layers nest ParallelFor (over store blocks) inside executor tasks
   // (over shards); caller participation is what keeps this deadlock-free
   // when every worker is already busy in the outer loop.
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
+    sched::Executor executor(pool_size);
     constexpr std::size_t kOuter = 16;
     constexpr std::size_t kInner = 512;
     std::vector<std::uint64_t> sums(kOuter, 0);
-    ParallelFor(
-        &pool, kOuter,
-        [&pool, &sums](std::size_t begin, std::size_t end) {
+    sched::ParallelFor(
+        &executor, kOuter,
+        [&executor, &sums](std::size_t begin, std::size_t end) {
           for (std::size_t o = begin; o < end; ++o) {
             std::vector<std::uint64_t> inner(kInner, 0);
-            ParallelFor(
-                &pool, kInner,
+            sched::ParallelFor(
+                &executor, kInner,
                 [&inner](std::size_t ib, std::size_t ie) {
                   for (std::size_t i = ib; i < ie; ++i) inner[i] = i;
                 },
@@ -201,14 +213,15 @@ TEST(ParallelStressTest, ParallelMapIdenticalAcrossPoolSizesUnderLoad) {
   // The determinism oracle, run at stress sizes so TSan sees the exact
   // slot-discipline the library's parallel entry points depend on.
   constexpr std::size_t kN = 10000;
-  auto run = [](ThreadPool* pool) {
-    return ParallelMap<std::uint64_t>(
-        pool, kN, [](std::size_t i) { return i * i + 1; }, /*grain=*/37);
+  auto run = [](sched::Executor* executor) {
+    return sched::ParallelMap<std::uint64_t>(
+        executor, kN, [](std::size_t i) { return i * i + 1; },
+        /*grain=*/37);
   };
   const std::vector<std::uint64_t> reference = run(nullptr);
   for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    EXPECT_EQ(run(&pool), reference) << "pool size " << pool_size;
+    sched::Executor executor(pool_size);
+    EXPECT_EQ(run(&executor), reference) << "worker count " << pool_size;
   }
 }
 

@@ -1,14 +1,17 @@
 // The work-stealing executor's contracts: dependency ordering, the
 // determinism discipline across worker counts, the ParallelFor /
-// ParallelMap graph adapters and their edge cases, exception surfacing,
+// ParallelMap graph adapters and their edge cases (chunking, coverage,
+// inline execution without a runner), exception surfacing,
 // run-after-shutdown semantics, nesting, and span tracing.
 
 #include <atomic>
 #include <cstddef>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +161,119 @@ TEST(ExecutorTest, ParallelForHonorsAnExplicitGrain) {
     total += size;
   }
   EXPECT_EQ(total, kN);
+}
+
+// The ParallelFor / ParallelMap adapters' own contract, whatever the
+// runner: exact coverage, chunking fixed by (n, grain), inline
+// execution without a runner, and index-ordered results.
+
+TEST(ParallelForTest, EmptyRangeRunsNothing) {
+  Executor executor(2);
+  std::atomic<int> calls{0};
+  ParallelFor(&executor, 0, [&calls](std::size_t, std::size_t) { ++calls; });
+  ParallelFor(nullptr, 0, [&calls](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
+  const std::size_t kN = 10007;  // prime: chunks never divide it evenly
+  for (const std::size_t workers : WorkerCounts()) {
+    Executor executor(workers);
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{64}, kN, 2 * kN}) {
+      std::vector<std::atomic<int>> hits(kN);
+      for (auto& h : hits) h.store(0);
+      ParallelFor(
+          &executor, kN,
+          [&hits](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          },
+          grain);
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << " workers " << workers << " grain " << grain;
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, RangeSmallerThanWorkerCountCoversExactlyOnce) {
+  // n < workers with grain 0: the formula gives grain 1, i.e. n chunks
+  // for n indices, and most workers find nothing to do.
+  Executor executor(8);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              std::size_t{7}}) {
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    ParallelFor(&executor, n, [&hits](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "n " << n << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, NullPoolRunsOnCallingThread) {
+  std::vector<int> hits(257, 0);  // no synchronization: must be single-threaded
+  ParallelFor(nullptr, hits.size(), [&hits](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  });
+  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
+            static_cast<int>(hits.size()));
+}
+
+TEST(ParallelForTest, ChunkBoundariesDependOnlyOnSizeAndGrain) {
+  // The determinism contract: per-chunk work decomposition is a function
+  // of (n, grain), never of the worker count.
+  const std::size_t kN = 1000;
+  const std::size_t kGrain = 37;
+  auto chunks_with = [&](Executor* executor) {
+    Mutex mutex;
+    std::set<std::pair<std::size_t, std::size_t>> chunks;
+    ParallelFor(
+        executor, kN,
+        [&mutex, &chunks](std::size_t begin, std::size_t end) {
+          MutexLock lock(mutex);
+          chunks.emplace(begin, end);
+        },
+        kGrain);
+    return chunks;
+  };
+  const auto reference = chunks_with(nullptr);
+  EXPECT_EQ(reference.size(), (kN + kGrain - 1) / kGrain);
+  for (const std::size_t workers : WorkerCounts()) {
+    Executor executor(workers);
+    EXPECT_EQ(chunks_with(&executor), reference) << workers << " workers";
+  }
+}
+
+TEST(ParallelMapTest, ResultsAreInIndexOrder) {
+  Executor executor(Hc());
+  const std::vector<int> out = ParallelMap<int>(
+      &executor, 5000, [](std::size_t i) { return static_cast<int>(i * i); },
+      /*grain=*/7);
+  ASSERT_EQ(out.size(), 5000u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], static_cast<int>(i * i)) << i;
+  }
+}
+
+TEST(ParallelForTest, ManySmallCallsDoNotWedgeThePool) {
+  // Many short runs back to back: each run's state must retire cleanly
+  // while the next reuses the workers.
+  Executor executor(2);
+  std::atomic<std::size_t> total{0};
+  for (int round = 0; round < 200; ++round) {
+    ParallelFor(
+        &executor, 10,
+        [&total](std::size_t begin, std::size_t end) {
+          total.fetch_add(end - begin);
+        },
+        /*grain=*/1);
+  }
+  EXPECT_EQ(total.load(), 2000u);
 }
 
 TEST(ExecutorTest, ThrowingTaskSurfacesAsInternalAndRestStillRuns) {
