@@ -158,30 +158,25 @@ void ReportStorage(const std::vector<core::SemanticTrajectory>& visits,
             : Status::Internal("store roundtrip lost trajectories"));
 
   // --- v3 codec ablation: the same trajectories under every block
-  // codec, plus the v2 format as the pre-compression baseline. Every
-  // variant is read back in full so the decode cost is visible next to
-  // the density win.
+  // codec. Every variant is read back in full so the decode cost is
+  // visible next to the density win.
   std::printf("\n  block-codec ablation (same trajectories, %zu tuples):\n",
               event_tuples);
   std::printf("    %-34s %14s %12s %12s\n", "format / codec", "bytes",
               "bytes/tuple", "scan rows/s");
   struct Variant {
     const char* name;
-    std::uint32_t version;
     storage::BlockCodec codec;
   };
   const Variant variants[] = {
-      {"v2 (uncompressed columns)", 2, storage::BlockCodec::kRaw},
-      {"v3 raw", 3, storage::BlockCodec::kRaw},
-      {"v3 packed (FOR bitpack)", 3, storage::BlockCodec::kPacked},
-      {"v3 lz (default)", 3, storage::BlockCodec::kLz},
-      {"v3 packed+lz", 3, storage::BlockCodec::kPackedLz},
+      {"v3 raw", storage::BlockCodec::kRaw},
+      {"v3 packed (FOR bitpack)", storage::BlockCodec::kPacked},
+      {"v3 lz (default)", storage::BlockCodec::kLz},
   };
   double default_bytes_per_tuple = 0.0;
   for (const Variant& v : variants) {
     const std::string path = "BENCH_a3_codec_scratch.evst";
     storage::WriterOptions variant_options;
-    variant_options.format_version = v.version;
     variant_options.codec = v.codec;
     auto variant_writer = Unwrap(storage::EventStoreWriter::Create(
         path, storage::StoreKind::kTrajectories, variant_options));
@@ -197,7 +192,7 @@ void ReportStorage(const std::vector<core::SemanticTrajectory>& visits,
               : Status::Internal("codec variant lost trajectories"));
     const double bytes_per_tuple =
         static_cast<double>(bytes) / static_cast<double>(event_tuples);
-    if (v.version == 3 && v.codec == storage::WriterOptions{}.codec) {
+    if (v.codec == storage::WriterOptions{}.codec) {
       default_bytes_per_tuple = bytes_per_tuple;
     }
     std::printf("    %-34s %14llu %12.2f %12.0f\n", v.name,
@@ -207,7 +202,7 @@ void ReportStorage(const std::vector<core::SemanticTrajectory>& visits,
   }
   // The acceptance gate for the v3 work: the default codec must hold
   // the density at or below 6.0 bytes per tuple on this dataset (the
-  // v2 baseline measures ~10).
+  // uncompressed v2 format measured 9.98).
   std::printf("    default v3 codec density: %.2f bytes/tuple "
               "(gate: <= 6.0)\n",
               default_bytes_per_tuple);

@@ -1,8 +1,9 @@
 // Q1 — the semantic trajectory query engine over a 10^4-visitor store:
-// predicate pushdown (secondary object-id index vs min/max pruning vs
-// full scan), paper-shaped queries end to end, and the determinism
-// contract (byte-identical results at every worker count and across
-// in-memory vs store-backed execution).
+// predicate pushdown (blocks touched through the secondary object-id
+// index vs min/max footer pruning alone vs a full scan), paper-shaped
+// queries end to end, and the determinism contract (byte-identical
+// results at every worker count and across in-memory vs store-backed
+// execution).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,12 +31,11 @@ constexpr int kVisitors = 10000;
 /// emits): block object ranges partition, so min/max pruning is already
 /// sharp. Used for the determinism and acceptance checks.
 const char kIndexedStorePath[] = "BENCH_q1_store.evst";
-/// Time-ordered stores (the natural event-log ingest order): one
+/// Time-ordered store (the natural event-log ingest order): one
 /// object's trajectories scatter across blocks and block object ranges
 /// overlap almost totally, which is exactly the case the secondary
-/// object-id index exists for (with vs without, same layout).
+/// object-id index exists for.
 const char kTimeStorePath[] = "BENCH_q1_store_time.evst";
-const char kTimePlainStorePath[] = "BENCH_q1_store_time_v1.evst";
 
 // The satellite sweep: 1, 2, 4, and hardware concurrency, deduplicated
 // and sorted so each count appears once in reports and BENCH JSON.
@@ -87,11 +87,9 @@ const std::vector<core::SemanticTrajectory>& Trajectories() {
 }
 
 void WriteStore(const std::string& path,
-                const std::vector<core::SemanticTrajectory>& trajectories,
-                bool with_index) {
+                const std::vector<core::SemanticTrajectory>& trajectories) {
   storage::WriterOptions options;
   options.rows_per_block = 1024;
-  options.write_object_index = with_index;
   auto writer = Unwrap(storage::EventStoreWriter::Create(
       path, storage::StoreKind::kTrajectories, options));
   Check(writer.Append(trajectories));
@@ -101,7 +99,7 @@ void WriteStore(const std::string& path,
 storage::EventStoreReader OpenStore(const std::string& path) {
   static bool written = false;
   if (!written) {
-    WriteStore(kIndexedStorePath, Trajectories(), true);
+    WriteStore(kIndexedStorePath, Trajectories());
     std::vector<core::SemanticTrajectory> by_time = Trajectories();
     std::stable_sort(by_time.begin(), by_time.end(),
                      [](const core::SemanticTrajectory& a,
@@ -109,8 +107,7 @@ storage::EventStoreReader OpenStore(const std::string& path) {
                        if (a.start() != b.start()) return a.start() < b.start();
                        return a.id() < b.id();
                      });
-    WriteStore(kTimeStorePath, by_time, true);
-    WriteStore(kTimePlainStorePath, by_time, false);
+    WriteStore(kTimeStorePath, by_time);
     written = true;
   }
   return Unwrap(storage::EventStoreReader::Open(path));
@@ -132,8 +129,7 @@ void Report() {
                "the serving layer the model argues for)");
   const auto& trajectories = Trajectories();
   const auto indexed = OpenStore(kIndexedStorePath);
-  const auto time_indexed = OpenStore(kTimeStorePath);
-  const auto time_plain = OpenStore(kTimePlainStorePath);
+  const auto time_ordered = OpenStore(kTimeStorePath);
   std::printf("  workload: %d visitors -> %zu trajectories, %llu tuples, "
               "%zu blocks (v%u store, object index: %s)\n",
               kVisitors, trajectories.size(),
@@ -167,20 +163,23 @@ void Report() {
     std::exit(1);
   }
 
-  // -- Index ablation on the time-ordered store: same layout, with and
-  //    without the posting lists. min/max pruning is helpless when one
+  // -- Index ablation on the time-ordered store: blocks the posting
+  //    list touches vs blocks min/max footer pruning alone admits (both
+  //    deterministic counts). min/max pruning is helpless when one
   //    object's visits scatter across the collection window.
-  const auto scattered_indexed = Unwrap(executor.Run(lookup, time_indexed));
-  const auto scattered_plain = Unwrap(executor.Run(lookup, time_plain));
-  Row("time-ordered store, tuples scanned",
-      "(index off = " + std::to_string(scattered_plain.stats.rows_scanned) +
-          ")",
-      std::to_string(scattered_indexed.stats.rows_scanned) + " indexed");
-  Row("time-ordered store, blocks scanned",
-      "(of " + std::to_string(time_indexed.num_blocks()) + ")",
-      std::to_string(scattered_indexed.stats.blocks_scanned) +
-          " indexed, " +
-          std::to_string(scattered_plain.stats.blocks_scanned) + " min/max");
+  const storage::ScanOptions probe =
+      storage::ScanOptions::ForObject(ProbeObject());
+  std::size_t min_max_blocks = 0;
+  for (std::size_t i = 0; i < time_ordered.num_blocks(); ++i) {
+    min_max_blocks += time_ordered.BlockMatches(i, probe) ? 1 : 0;
+  }
+  const auto scattered = Unwrap(executor.Run(lookup, time_ordered));
+  Row("time-ordered store, tuples scanned", "-",
+      std::to_string(scattered.stats.rows_scanned) + " indexed");
+  Row("time-ordered store, blocks touched",
+      "(of " + std::to_string(time_ordered.num_blocks()) + ")",
+      std::to_string(time_ordered.CandidateBlocks(probe).size()) +
+          " indexed, " + std::to_string(min_max_blocks) + " min/max");
 
   // -- Determinism: workers {1, 2, 4, hw} x {in-memory, store}. -------
   const std::string reference =
@@ -217,12 +216,11 @@ void Report() {
       "-", std::to_string(wing_count.count) + " of " +
                std::to_string(trajectories.size()));
 
-  // -- v3 annotation-bitmap ablation: the same annotated trajectories
-  //    in a v3 store (bitmap footer section on) and a v2 store (no
-  //    bitmaps), probed with an annotation predicate. The simulator
-  //    pipeline attaches no tuple annotations, so mark a small cluster
-  //    of trajectories with a rare behavior — the selective-term case
-  //    the bitmaps exist for.
+  // -- Annotation-bitmap pruning: an annotation predicate over a store
+  //    with the bitmap footer section, against the block count a store
+  //    without bitmaps would scan. The simulator pipeline attaches no
+  //    tuple annotations, so mark a small cluster of trajectories with a
+  //    rare behavior — the selective-term case the bitmaps exist for.
   auto annotated = trajectories;
   const core::SemanticAnnotation rare{core::AnnotationKind::kBehavior,
                                       "vip"};
@@ -230,48 +228,32 @@ void Report() {
     annotated[i].mutable_trace().mutable_intervals()[0].annotations.Add(
         rare.kind, rare.value);
   }
-  const char kBitmapV3Path[] = "BENCH_q1_bitmap_v3.evst";
-  const char kBitmapV2Path[] = "BENCH_q1_bitmap_v2.evst";
-  storage::WriterOptions bitmap_options;
-  bitmap_options.rows_per_block = 1024;
-  auto v3_writer = Unwrap(storage::EventStoreWriter::Create(
-      kBitmapV3Path, storage::StoreKind::kTrajectories, bitmap_options));
-  Check(v3_writer.Append(annotated));
-  Check(v3_writer.Finish());
-  bitmap_options.format_version = 2;
-  auto v2_writer = Unwrap(storage::EventStoreWriter::Create(
-      kBitmapV2Path, storage::StoreKind::kTrajectories, bitmap_options));
-  Check(v2_writer.Append(annotated));
-  Check(v2_writer.Finish());
-  const auto v3_reader = Unwrap(storage::EventStoreReader::Open(kBitmapV3Path));
-  const auto v2_reader = Unwrap(storage::EventStoreReader::Open(kBitmapV2Path));
+  const char kBitmapPath[] = "BENCH_q1_bitmap_v3.evst";
+  WriteStore(kBitmapPath, annotated);
+  const auto bitmap_reader = Unwrap(storage::EventStoreReader::Open(kBitmapPath));
 
   query::Query rare_query;
   rare_query.where = query::HasAnnotation(rare.kind, rare.value);
   rare_query.projection = query::Projection::kIds;
-  const auto v3_result = Unwrap(executor.Run(rare_query, v3_reader));
-  const auto v2_result = Unwrap(executor.Run(rare_query, v2_reader));
-  std::printf("\n  annotation-bitmap ablation (rare term, same block "
-              "geometry):\n");
-  std::printf("    v2 (no bitmaps): %llu of %zu blocks scanned\n",
-              static_cast<unsigned long long>(v2_result.stats.blocks_scanned),
-              v2_reader.num_blocks());
-  std::printf("    v3 (bitmaps):    %llu of %zu blocks scanned\n",
-              static_cast<unsigned long long>(v3_result.stats.blocks_scanned),
-              v3_reader.num_blocks());
-  if (v3_result.Fingerprint() != v2_result.Fingerprint()) {
+  const auto bitmap_result = Unwrap(executor.Run(rare_query, bitmap_reader));
+  std::printf("\n  annotation-bitmap pruning (rare term): %llu of %zu "
+              "blocks scanned\n",
+              static_cast<unsigned long long>(
+                  bitmap_result.stats.blocks_scanned),
+              bitmap_reader.num_blocks());
+  if (bitmap_result.Fingerprint() !=
+      Unwrap(executor.Run(rare_query, annotated)).Fingerprint()) {
     std::fprintf(stderr, "BENCH Q1 FAILED: annotation query results differ "
-                         "between v2 and v3 stores\n");
+                         "between the store and in-memory execution\n");
     std::exit(1);
   }
-  if (v3_result.stats.blocks_scanned >= v2_result.stats.blocks_scanned) {
+  if (bitmap_result.stats.blocks_scanned >= bitmap_reader.num_blocks()) {
     std::fprintf(stderr,
-                 "BENCH Q1 FAILED: v3 annotation query scanned %llu blocks, "
-                 "v2 scanned %llu (acceptance needs strictly fewer)\n",
+                 "BENCH Q1 FAILED: annotation query scanned %llu of %zu "
+                 "blocks (acceptance needs strictly fewer)\n",
                  static_cast<unsigned long long>(
-                     v3_result.stats.blocks_scanned),
-                 static_cast<unsigned long long>(
-                     v2_result.stats.blocks_scanned));
+                     bitmap_result.stats.blocks_scanned),
+                 bitmap_reader.num_blocks());
     std::exit(1);
   }
 
@@ -330,18 +312,6 @@ void BM_QueryPointLookupIndexed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_QueryPointLookupIndexed)->Unit(benchmark::kMicrosecond);
-
-void BM_QueryPointLookupMinMaxOnly(benchmark::State& state) {
-  // Same layout without the index: min/max pruning only.
-  const auto reader = OpenStore(kTimePlainStorePath);
-  query::QueryExecutor executor(Context());
-  const query::Query q = PointLookup();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, reader));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QueryPointLookupMinMaxOnly)->Unit(benchmark::kMicrosecond);
 
 void BM_QueryPointLookupFullResidual(benchmark::State& state) {
   // The no-pushdown ceiling: every block decoded, object filtering done

@@ -141,7 +141,7 @@ void PutPackedSignedColumn(std::string& out,
     ByteReader& reader, std::size_t n);
 
 // ---------------------------------------------------------------------------
-// LZ byte codec (the v3 kLz / kPackedLz block codecs).
+// LZ byte codec (the v3 kLz block codec, and the read-only packed+lz).
 // ---------------------------------------------------------------------------
 
 /// \brief Compresses `input` with a greedy LZ77: the stream is a

@@ -49,32 +49,23 @@ Result<core::AnnotationSet> DecodeAnnotationSet(ByteReader& reader) {
   return set;
 }
 
-/// Wraps raw column bytes into the on-disk block payload for the given
-/// format version: v1/v2 store them as-is; v3 prepends the codec id and
-/// applies the byte codec. `inner` must already be in the codec's
-/// column layout (raw vs packed) for kRaw/kPacked/kLz/kPackedLz.
-std::string WrapBlockPayload(std::uint32_t format_version, BlockCodec codec,
-                             std::string inner) {
-  if (format_version < 3) return inner;
+/// On-disk id of the retired packed-then-LZ block codec: no longer
+/// written, still decoded (its column bytes are packed, then LZ77).
+constexpr std::uint64_t kCodecPackedLz = 3;
+
+/// Wraps column bytes into the on-disk block payload: the codec id, then
+/// the bytes as-is (kRaw/kPacked) or LZ-compressed behind their size
+/// (kLz). `inner` must already be in the codec's column layout.
+std::string WrapBlockPayload(BlockCodec codec, std::string inner) {
   std::string payload;
   PutVarint64(payload, static_cast<std::uint64_t>(codec));
-  switch (codec) {
-    case BlockCodec::kRaw:
-    case BlockCodec::kPacked:
-      payload += inner;
-      break;
-    case BlockCodec::kLz:
-    case BlockCodec::kPackedLz:
-      PutVarint64(payload, inner.size());
-      payload += CompressBytes(inner);
-      break;
+  if (codec == BlockCodec::kLz) {
+    PutVarint64(payload, inner.size());
+    payload += CompressBytes(inner);
+  } else {
+    payload += inner;
   }
   return payload;
-}
-
-/// True when the codec's inner column layout is the bitpacked one.
-bool CodecPacksColumns(BlockCodec codec) {
-  return codec == BlockCodec::kPacked || codec == BlockCodec::kPackedLz;
 }
 
 void PutSignedVarints(std::string& out,
@@ -82,8 +73,8 @@ void PutSignedVarints(std::string& out,
   for (const std::int64_t v : values) PutSVarint64(out, v);
 }
 
-/// The column encoders of one inner layout: bitpacked for kPacked and
-/// kPackedLz, varints for kRaw and kLz.
+/// The column encoders of one inner layout: bitpacked for kPacked,
+/// varints for kRaw and kLz.
 struct ColumnLayout {
   void (*delta)(std::string&, const std::vector<std::int64_t>&);
   void (*unsigned_values)(std::string&, const std::vector<std::uint64_t>&);
@@ -91,7 +82,7 @@ struct ColumnLayout {
 };
 
 ColumnLayout ColumnLayoutFor(BlockCodec codec) {
-  if (CodecPacksColumns(codec)) {
+  if (codec == BlockCodec::kPacked) {
     return {PutPackedDeltaColumn, PutPackedColumn, PutPackedSignedColumn};
   }
   return {PutDeltaColumn, PutVarintColumn, PutSignedVarints};
@@ -177,14 +168,15 @@ Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
   if (version < 3) return out;
   ByteReader reader(payload);
   SITM_ASSIGN_OR_RETURN(const std::uint64_t codec_id, reader.ReadVarint64());
-  if (codec_id > static_cast<std::uint64_t>(BlockCodec::kPackedLz)) {
+  if (codec_id > kCodecPackedLz) {
     return Status::Corruption("EventStore: unknown block codec " +
                               std::to_string(codec_id) + " in block " +
                               std::to_string(block_index));
   }
-  const auto codec = static_cast<BlockCodec>(codec_id);
-  out.packed = CodecPacksColumns(codec);
-  if (codec == BlockCodec::kRaw || codec == BlockCodec::kPacked) {
+  out.packed = codec_id == static_cast<std::uint64_t>(BlockCodec::kPacked) ||
+               codec_id == kCodecPackedLz;
+  if (codec_id == static_cast<std::uint64_t>(BlockCodec::kRaw) ||
+      codec_id == static_cast<std::uint64_t>(BlockCodec::kPacked)) {
     out.offset = reader.position();
     return out;
   }
@@ -257,8 +249,6 @@ const char* BlockCodecName(BlockCodec codec) {
       return "packed";
     case BlockCodec::kLz:
       return "lz";
-    case BlockCodec::kPackedLz:
-      return "packed+lz";
   }
   return "?";
 }
@@ -276,24 +266,9 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   if (options.rows_per_block == 0) {
     return Status::InvalidArgument("EventStore: rows_per_block must be >= 1");
   }
-  if (options.format_version < 1 || options.format_version > kStoreVersion) {
-    return Status::InvalidArgument(
-        "EventStore: cannot write format version " +
-        std::to_string(options.format_version));
+  if (options.codec > BlockCodec::kLz) {
+    return Status::InvalidArgument("EventStore: unknown block codec");
   }
-  // Normalize to the version the file will actually carry, reproducing
-  // the pre-v3 writers byte for byte: under format 2 a file without the
-  // object index has no optional sections and *is* the version-1
-  // format, so it is stamped (and emitted) as such; format 1 never has
-  // sections or codec ids.
-  if (options.format_version == 2 && !options.write_object_index) {
-    options.format_version = 1;
-  }
-  if (options.format_version == 1) {
-    options.write_object_index = false;
-    options.write_annotation_bitmaps = false;
-  }
-  if (options.format_version < 3) options.codec = BlockCodec::kRaw;
   EventStoreWriter writer;
   writer.file_.reset(std::fopen(path.c_str(), "wb"));
   if (writer.file_ == nullptr) {
@@ -303,7 +278,7 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   writer.kind_ = kind;
   writer.options_ = options;
   std::string header(kStoreMagic, sizeof(kStoreMagic));
-  PutU32(header, options.format_version);
+  PutU32(header, kStoreVersion);
   PutU32(header, static_cast<std::uint32_t>(kind));
   SITM_RETURN_IF_ERROR(writer.WriteRaw(header));
   return writer;
@@ -449,8 +424,7 @@ Status EventStoreWriter::Append(
         layout.delta(inner, cells);
         layout.delta(inner, starts);
         layout.unsigned_values(inner, durations);
-        block.payload = WrapBlockPayload(options_.format_version,
-                                         options_.codec, std::move(inner));
+        block.payload = WrapBlockPayload(options_.codec, std::move(inner));
         block.meta.rows = n;
         block.meta.length = block.payload.size();
         block.meta.checksum = Checksum(block.payload);
@@ -582,8 +556,7 @@ Status EventStoreWriter::Append(
         layout.unsigned_values(inner, stay_dicts);
         layout.unsigned_values(inner, transition_dicts);
         PutBitColumn(inner, inferred);
-        block.payload = WrapBlockPayload(options_.format_version,
-                                         options_.codec, std::move(inner));
+        block.payload = WrapBlockPayload(options_.codec, std::move(inner));
         // A block references few distinct sets, mostly in short cycles
         // (stay, transition, stay, ...): skipping ids among the last few
         // kept leaves little to sort.
@@ -637,89 +610,85 @@ Status EventStoreWriter::Finish() {
     PutSVarint64(footer, meta.max_time);
     PutU64(footer, meta.checksum);
   }
-  // v2+ optional sections: count, then (kind, byte length, payload) per
-  // section. Length framing lets readers skip unknown kinds.
-  std::vector<std::pair<std::uint64_t, std::string>> sections;
-  if (options_.write_object_index) {
-    // Sorting the (object, block) pairs groups each object's posting
-    // list, ascending in both.
-    std::sort(object_blocks_.begin(), object_blocks_.end());
-    std::string postings;
-    std::uint64_t objects = 0;
-    std::int64_t prev_object = 0;
-    for (std::size_t i = 0; i < object_blocks_.size();) {
-      const std::int64_t object = object_blocks_[i].first;
-      std::size_t end = i;
-      while (end < object_blocks_.size() &&
-             object_blocks_[end].first == object) {
-        ++end;
-      }
-      ++objects;
-      PutSVarint64(postings, object - prev_object);
-      prev_object = object;
-      PutVarint64(postings, end - i);
-      std::uint32_t prev_block = 0;
-      for (; i < end; ++i) {
-        PutVarint64(postings, object_blocks_[i].second - prev_block);
-        prev_block = object_blocks_[i].second;
-      }
+  // Sorting the (object, block) pairs groups each object's posting list,
+  // ascending in both.
+  std::sort(object_blocks_.begin(), object_blocks_.end());
+  std::string postings;
+  std::uint64_t objects = 0;
+  std::int64_t prev_object = 0;
+  for (std::size_t i = 0; i < object_blocks_.size();) {
+    const std::int64_t object = object_blocks_[i].first;
+    std::size_t end = i;
+    while (end < object_blocks_.size() &&
+           object_blocks_[end].first == object) {
+      ++end;
     }
-    std::string section;
-    PutVarint64(section, objects);
-    section += postings;
-    sections.emplace_back(kSectionObjectIndex, std::move(section));
+    ++objects;
+    PutSVarint64(postings, object - prev_object);
+    prev_object = object;
+    PutVarint64(postings, end - i);
+    std::uint32_t prev_block = 0;
+    for (; i < end; ++i) {
+      PutVarint64(postings, object_blocks_[i].second - prev_block);
+      prev_block = object_blocks_[i].second;
+    }
   }
-  if (options_.format_version >= 3 && options_.write_annotation_bitmaps) {
-    // Term table: every distinct (kind, value) across the dictionary,
-    // sorted ascending; per block one bit per term, set when the term
-    // appears in a dictionary set the block references. Readers prune a
-    // block for an annotation predicate when its bit is clear — sound
-    // because trajectories never span blocks.
-    std::vector<std::pair<std::uint64_t, std::string>> terms;
-    for (const core::AnnotationSet& set : dictionary_sets_) {
-      for (const core::SemanticAnnotation& a : set.annotations()) {
-        terms.emplace_back(static_cast<std::uint64_t>(a.kind), a.value);
-      }
+  std::string object_index;
+  PutVarint64(object_index, objects);
+  object_index += postings;
+
+  // Term table: every distinct (kind, value) across the dictionary,
+  // sorted ascending; per block one bit per term, set when the term
+  // appears in a dictionary set the block references. Readers prune a
+  // block for an annotation predicate when its bit is clear — sound
+  // because trajectories never span blocks. A file without terms (every
+  // detection store) gets no bitmap section.
+  std::vector<std::pair<std::uint64_t, std::string>> terms;
+  for (const core::AnnotationSet& set : dictionary_sets_) {
+    for (const core::SemanticAnnotation& a : set.annotations()) {
+      terms.emplace_back(static_cast<std::uint64_t>(a.kind), a.value);
     }
-    std::sort(terms.begin(), terms.end());
-    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-    if (!terms.empty()) {
-      std::string section;
-      PutVarint64(section, terms.size());
-      for (const auto& [kind, value] : terms) {
-        PutVarint64(section, kind);
-        PutVarint64(section, value.size());
-        section += value;
-      }
-      PutVarint64(section, blocks_.size());
-      const std::size_t bytes_per_bitmap = (terms.size() + 7) / 8;
-      for (const std::vector<std::uint32_t>& dict_ids :
-           block_dictionary_ids_) {
-        std::string bitmap(bytes_per_bitmap, '\0');
-        for (std::uint32_t id : dict_ids) {
-          for (const core::SemanticAnnotation& a :
-               dictionary_sets_[id].annotations()) {
-            const auto it = std::lower_bound(
-                terms.begin(), terms.end(),
-                std::make_pair(static_cast<std::uint64_t>(a.kind), a.value));
-            const auto term = static_cast<std::size_t>(it - terms.begin());
-            bitmap[term / 8] = static_cast<char>(
-                static_cast<unsigned char>(bitmap[term / 8]) |
-                (1u << (term % 8)));
-          }
+  }
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  std::string bitmaps;
+  if (!terms.empty()) {
+    PutVarint64(bitmaps, terms.size());
+    for (const auto& [kind, value] : terms) {
+      PutVarint64(bitmaps, kind);
+      PutVarint64(bitmaps, value.size());
+      bitmaps += value;
+    }
+    PutVarint64(bitmaps, blocks_.size());
+    const std::size_t bytes_per_bitmap = (terms.size() + 7) / 8;
+    for (const std::vector<std::uint32_t>& dict_ids : block_dictionary_ids_) {
+      std::string bitmap(bytes_per_bitmap, '\0');
+      for (std::uint32_t id : dict_ids) {
+        for (const core::SemanticAnnotation& a :
+             dictionary_sets_[id].annotations()) {
+          const auto it = std::lower_bound(
+              terms.begin(), terms.end(),
+              std::make_pair(static_cast<std::uint64_t>(a.kind), a.value));
+          const auto term = static_cast<std::size_t>(it - terms.begin());
+          bitmap[term / 8] = static_cast<char>(
+              static_cast<unsigned char>(bitmap[term / 8]) |
+              (1u << (term % 8)));
         }
-        section += bitmap;
       }
-      sections.emplace_back(kSectionAnnotationBitmaps, std::move(section));
+      bitmaps += bitmap;
     }
   }
-  if (options_.format_version >= 2) {
-    PutVarint64(footer, sections.size());
-    for (const auto& [section_kind, section] : sections) {
-      PutVarint64(footer, section_kind);
-      PutVarint64(footer, section.size());
-      footer += section;
-    }
+
+  // Optional sections: count, then (kind, byte length, payload) per
+  // section. Length framing lets readers skip unknown kinds.
+  PutVarint64(footer, bitmaps.empty() ? 1 : 2);
+  PutVarint64(footer, kSectionObjectIndex);
+  PutVarint64(footer, object_index.size());
+  footer += object_index;
+  if (!bitmaps.empty()) {
+    PutVarint64(footer, kSectionAnnotationBitmaps);
+    PutVarint64(footer, bitmaps.size());
+    footer += bitmaps;
   }
   SITM_RETURN_IF_ERROR(WriteRaw(footer));
   std::string trailer;
@@ -1244,7 +1213,7 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
 bool EventStoreReader::BlockMayContainAnnotation(std::size_t i,
                                                  core::AnnotationKind kind,
                                                  std::string_view value) const {
-  // No bitmap section (pre-v3 file, or bitmaps disabled): every block
+  // No bitmap section (pre-v3 file, or no annotation terms): every block
   // may match — the conservative answer.
   if (annotation_terms_.empty() || i >= blocks_.size()) return true;
   const auto it = std::lower_bound(
@@ -1273,14 +1242,6 @@ Status EventStoreReader::VerifyChecksums() const {
     SITM_RETURN_IF_ERROR(BlockPayload(i).status());
   }
   return Status::OK();
-}
-
-Result<std::vector<core::SemanticTrajectory>> RunPipelineFromStore(
-    const EventStoreReader& reader, core::BatchPipeline& pipeline,
-    const ScanOptions& scan) {
-  SITM_ASSIGN_OR_RETURN(std::vector<core::RawDetection> detections,
-                        reader.ReadDetections(scan));
-  return pipeline.Run(std::move(detections));
 }
 
 }  // namespace sitm::storage

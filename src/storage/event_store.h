@@ -12,7 +12,6 @@
 #include "base/result.h"
 #include "base/task_runner.h"
 #include "core/builder.h"
-#include "core/pipeline.h"
 #include "core/trajectory.h"
 #include "storage/mapped_file.h"
 
@@ -64,8 +63,10 @@ namespace sitm::storage {
 ///                      value — storage/columnar.h);
 ///         2 lz         varint raw byte count, then an LZ77 stream of
 ///                      the raw (codec 0) column bytes;
-///         3 packed+lz  varint packed byte count, then an LZ77 stream
-///                      of the packed (codec 1) column bytes.
+///         3 packed+lz  read-only: varint packed byte count, then an
+///                      LZ77 stream of the packed (codec 1) column
+///                      bytes. Writers no longer emit it (it never beat
+///                      lz on size or scan speed).
 ///       Unknown codec ids are Corruption. Block checksums cover the
 ///       stored payload (codec id included). Section kind 2 holds the
 ///       annotation term table and per-block bitmaps: a term list of
@@ -73,8 +74,10 @@ namespace sitm::storage {
 ///       (ascending), then one bitmap per block whose bit t is set iff
 ///       some annotation set referenced by the block contains term t —
 ///       a sound over-approximation annotation predicates prune with.
-/// Version-1/2 files remain readable, and writers emit them on request
-/// (WriterOptions::format_version) byte-identically to the old code.
+/// The writer emits only version 3, always with the object index and
+/// with the bitmap section whenever the file has annotation terms.
+/// Readers still accept versions 1 and 2 and codec 3; checked-in
+/// fixtures in tests/data/ pin those bytes.
 ///
 /// Corruption safety: every decode path is bounds-checked (Corruption,
 /// never UB, on truncated or bit-flipped files), footer and blocks are
@@ -97,13 +100,12 @@ inline constexpr std::size_t kStoreHeaderSize = 16;
 /// Byte size of the fixed file trailer.
 inline constexpr std::size_t kStoreTrailerSize = 32;
 
-/// Per-block compression codec (v3+; the varint id leading every block
-/// payload). See the version-3 layout notes above.
+/// Per-block compression codec a writer may choose (the varint id
+/// leading every v3 block payload). See the version-3 layout notes above.
 enum class BlockCodec : std::uint8_t {
   kRaw = 0,
   kPacked = 1,
   kLz = 2,
-  kPackedLz = 3,
 };
 
 /// Human-readable codec name ("raw", "packed", ...).
@@ -133,24 +135,9 @@ struct WriterOptions {
   /// count: blocks are encoded independently and written in index
   /// order.
   TaskRunner* executor = nullptr;
-  /// Write the secondary object-id index footer section. Under
-  /// format_version 2 this is the old v2/v1 switch: false emits a
-  /// version-1 file, byte-identical to the base format.
-  bool write_object_index = true;
-  /// On-disk format to emit (1, 2, or 3). Versions 1 and 2 reproduce
-  /// the old writers byte for byte — the compatibility lever — and
-  /// require codec kRaw. The default is the current version.
-  std::uint32_t format_version = kStoreVersion;
-  /// Per-block compression codec (v3 only; earlier formats have no
-  /// codec id and reject anything but kRaw). kLz is the measured
-  /// density winner on the bench datasets (the packed columns are
-  /// high-entropy, so kPackedLz finds fewer matches) and the default.
+  /// Per-block compression codec. kLz is the measured density winner
+  /// on the bench datasets and the default.
   BlockCodec codec = BlockCodec::kLz;
-  /// Write the annotation-bitmap footer section (v3 only; skipped when
-  /// the file ends up with an empty annotation dictionary, e.g. every
-  /// detection store). The block-pruning lever for annotation
-  /// predicates.
-  bool write_annotation_bitmaps = true;
 };
 
 /// Per-block index entry (also the unit of predicate pushdown).
@@ -382,14 +369,6 @@ class EventStoreReader {
   std::uint64_t rows_ = 0;
   std::uint64_t trajectories_ = 0;
 };
-
-/// \brief Runs a BatchPipeline straight off a detection store: streams
-/// matching blocks (footer pushdown applied), then executes build ->
-/// enrich -> infer on the surviving detections. The store replaces the
-/// in-memory detection vector as the pipeline source.
-[[nodiscard]] Result<std::vector<core::SemanticTrajectory>> RunPipelineFromStore(
-    const EventStoreReader& reader, core::BatchPipeline& pipeline,
-    const ScanOptions& scan = {});
 
 }  // namespace sitm::storage
 

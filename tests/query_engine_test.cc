@@ -658,37 +658,25 @@ TEST(PlannerTest, AnnotationPredicatesPruneBlocksViaBitmaps) {
         rare.kind, rare.value);
   }
 
-  const std::string v3_path = TempPath("bitmap_plan_v3.evst");
-  const std::string v2_path = TempPath("bitmap_plan_v2.evst");
+  const std::string path = TempPath("bitmap_plan.evst");
   storage::WriterOptions options;
   options.rows_per_block = 32;
-  auto v3 = storage::EventStoreWriter::Create(
-      v3_path, storage::StoreKind::kTrajectories, options);
-  ASSERT_TRUE(v3.ok());
-  ASSERT_TRUE(v3->Append(trajectories).ok());
-  ASSERT_TRUE(v3->Finish().ok());
-  options.format_version = 2;
-  auto v2 = storage::EventStoreWriter::Create(
-      v2_path, storage::StoreKind::kTrajectories, options);
-  ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(v2->Append(trajectories).ok());
-  ASSERT_TRUE(v2->Finish().ok());
-  const auto v3_reader = storage::EventStoreReader::Open(v3_path);
-  const auto v2_reader = storage::EventStoreReader::Open(v2_path);
-  ASSERT_TRUE(v3_reader.ok()) << v3_reader.status();
-  ASSERT_TRUE(v2_reader.ok()) << v2_reader.status();
-  ASSERT_TRUE(v3_reader->has_annotation_bitmaps());
-  ASSERT_FALSE(v2_reader->has_annotation_bitmaps());
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  const auto reader = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE(reader->has_annotation_bitmaps());
 
   const QueryPlan plan = Plan(HasAnnotation(rare.kind, rare.value, AnnotationScope::kAnywhere));
   ASSERT_EQ(plan.pushdown.annotations.size(), 1u);
-  const auto v3_blocks = PlanBlocks(*v3_reader, plan.pushdown);
-  const auto v2_blocks = PlanBlocks(*v2_reader, plan.pushdown);
-  // Same data, same block geometry: v2 scans everything, v3 strictly
-  // fewer — the ISSUE's bench_q1 acceptance shape at test scale.
-  EXPECT_EQ(v2_blocks.size(), v2_reader->num_blocks());
-  EXPECT_LT(v3_blocks.size(), v2_blocks.size());
-  EXPECT_FALSE(v3_blocks.empty());
+  const auto blocks = PlanBlocks(*reader, plan.pushdown);
+  // Without bitmaps every block would be planned; with them strictly
+  // fewer — the bench_q1 acceptance shape at test scale.
+  EXPECT_LT(blocks.size(), reader->num_blocks());
+  EXPECT_FALSE(blocks.empty());
 
   // Conjunction keeps the union of both sides' terms; disjunction only
   // what both demand.
@@ -699,27 +687,25 @@ TEST(PlannerTest, AnnotationPredicatesPruneBlocksViaBitmaps) {
                                    HasAnnotation(rare.kind, "other", AnnotationScope::kAnywhere)));
   EXPECT_TRUE(either.pushdown.annotations.empty());
 
-  // A term absent from the store plans zero blocks on v3.
+  // A term absent from the store plans zero blocks.
   const QueryPlan absent =
       Plan(HasAnnotation(core::AnnotationKind::kGoal, "no-such-term",
            AnnotationScope::kAnywhere));
-  EXPECT_TRUE(PlanBlocks(*v3_reader, absent.pushdown).empty());
-  EXPECT_EQ(PlanBlocks(*v2_reader, absent.pushdown).size(),
-            v2_reader->num_blocks());
+  EXPECT_TRUE(PlanBlocks(*reader, absent.pushdown).empty());
 
-  // And pruning is invisible in the answers: both stores agree.
+  // And pruning is invisible in the answers: the store agrees with the
+  // in-memory run over the same trajectories.
   QueryExecutor executor(LouvreContext());
   Query query;
   query.where = HasAnnotation(rare.kind, rare.value, AnnotationScope::kAnywhere);
   query.projection = Projection::kTrajectories;
-  const auto from_v3 = executor.Run(query, *v3_reader);
-  const auto from_v2 = executor.Run(query, *v2_reader);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-  EXPECT_EQ(from_v3->Fingerprint(), from_v2->Fingerprint());
-  EXPECT_LT(from_v3->stats.blocks_scanned, from_v2->stats.blocks_scanned);
-  std::remove(v3_path.c_str());
-  std::remove(v2_path.c_str());
+  const auto from_store = executor.Run(query, *reader);
+  const auto in_memory = executor.Run(query, trajectories);
+  ASSERT_TRUE(from_store.ok()) << from_store.status();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+  EXPECT_EQ(from_store->Fingerprint(), in_memory->Fingerprint());
+  EXPECT_LT(from_store->stats.blocks_scanned, reader->num_blocks());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

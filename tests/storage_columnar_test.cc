@@ -284,7 +284,8 @@ TEST(ColumnarPackedTest, TruncationAndBadWidthAreCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// LZ byte codec (the v3 kLz / kPackedLz codecs' byte layer).
+// LZ byte codec (the byte layer of the v3 kLz codec and of the
+// read-only packed+lz codec).
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> LzCorpus() {

@@ -201,6 +201,77 @@ Status WriteDetectionStore(const std::string& path,
   return writer->Finish();
 }
 
+/// A fixed dataset for the byte-identity goldens: 7 trajectories over 5
+/// objects with shared and distinct annotations, an inferred tuple, and
+/// named transitions. Do not change it: the v3 goldens below and the
+/// checked-in tests/data/ fixtures were made from it, and the writer can
+/// no longer produce the fixtures' formats.
+std::vector<core::SemanticTrajectory> GoldenTrajectories() {
+  std::vector<core::SemanticTrajectory> out;
+  for (int t = 0; t < 7; ++t) {
+    core::Trace trace;
+    const int rows = 2 + (t * 3) % 5;
+    const std::int64_t base = 1000000 + t * 7777;
+    for (int r = 0; r < rows; ++r) {
+      core::PresenceInterval p;
+      p.transition = (r % 3 == 1) ? BoundaryId(40 + r) : BoundaryId();
+      p.cell = CellId((t * 11 + r * 5) % 23);
+      p.interval =
+          qsr::TimeInterval::Make(Timestamp(base + r * 60),
+                                  Timestamp(base + r * 60 + 30 + r))
+              .value();
+      if (r % 2 == 0) {
+        p.annotations.Add({core::AnnotationKind::kActivity, "stop"});
+      } else {
+        p.annotations.Add({core::AnnotationKind::kBehavior, "move"});
+      }
+      if (t % 3 == 0 && r == 0) {
+        p.annotations.Add({core::AnnotationKind::kGoal, "visit"});
+      }
+      if (r % 4 == 3) {
+        p.transition_annotations.Add({core::AnnotationKind::kOther, "door"});
+      }
+      p.inferred = (t == 2 && r == 1);
+      trace.Append(p);
+    }
+    core::AnnotationSet traj_ann;
+    traj_ann.Add({core::AnnotationKind::kActivity, t % 2 ? "tour" : "work"});
+    out.emplace_back(TrajectoryId(t), ObjectId(t % 5), std::move(trace),
+                     std::move(traj_ann));
+  }
+  return out;
+}
+
+/// Stores of GoldenTrajectories() in the formats the writer no longer
+/// emits, checked in under tests/data/. They were written by the last
+/// writer able to produce them; the checksums pin their bytes, so the
+/// v1/v2 footers and the packed+lz codec (id 3) keep reader coverage.
+struct LegacyFixture {
+  const char* file;
+  std::uint32_t version;
+  std::size_t rows_per_block;
+  std::uint64_t checksum;
+};
+
+constexpr LegacyFixture kLegacyFixtures[] = {
+    {"golden_v1_rpb3.evst", 1, 3, 0x71df166c06b47831ull},
+    {"golden_v1_rpb4096.evst", 1, 4096, 0x6bf1f71ef7d37ad1ull},
+    {"golden_v2_rpb3.evst", 2, 3, 0x72c00a0f6e4a2625ull},
+    {"golden_v2_rpb4096.evst", 2, 4096, 0xc24024e8c4324573ull},
+    {"golden_v3_packed_lz_rpb3.evst", 3, 3, 0xda80c33ce9ee3f5aull},
+    {"golden_v3_packed_lz_rpb4096.evst", 3, 4096, 0x7d84d1d311e00d28ull},
+};
+
+std::string FixturePath(const char* file) {
+  return std::string(SITM_TEST_DATA_DIR) + "/" + file;
+}
+
+std::string FixtureBytes(const char* file) {
+  const auto bytes = io::ReadFile(FixturePath(file));
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
+
 // ---------------------------------------------------------------------------
 // Roundtrip property tests.
 // ---------------------------------------------------------------------------
@@ -260,8 +331,10 @@ TEST(EventStoreRoundTripTest, PipelineConsumesStraightFromStore) {
   ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
+  auto detections_from_store = reader->ReadDetections();
+  ASSERT_TRUE(detections_from_store.ok()) << detections_from_store.status();
   core::BatchPipeline pipeline(FullPipelineOptions());
-  const auto from_store = RunPipelineFromStore(*reader, pipeline);
+  const auto from_store = pipeline.Run(std::move(detections_from_store).value());
   ASSERT_TRUE(from_store.ok()) << from_store.status();
   ExpectTrajectoriesEqual(expected, *from_store);
   std::remove(path.c_str());
@@ -540,43 +613,42 @@ TEST(EventStoreObjectIndexTest, PostingListsPruneBlocksExactly) {
 }
 
 TEST(EventStoreObjectIndexTest, Version1FilesStayReadable) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(5, 80));
-  const std::string v1_path = TempPath("compat_v1.evst");
-  const std::string v2_path = TempPath("compat_v2.evst");
-  // Under format_version 2 the object-index switch is the old v2/v1
-  // lever: no index means no optional sections, i.e. the v1 format.
-  WriterOptions v1_options;
-  v1_options.rows_per_block = 32;
-  v1_options.format_version = 2;
-  v1_options.write_object_index = false;
-  WriterOptions v2_options;
-  v2_options.rows_per_block = 32;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(WriteTrajectoryStore(v1_path, trajectories, v1_options).ok());
-  ASSERT_TRUE(WriteTrajectoryStore(v2_path, trajectories, v2_options).ok());
-
-  const auto v1 = EventStoreReader::Open(v1_path);
-  const auto v2 = EventStoreReader::Open(v2_path);
+  // The same trajectories as a v1 file (no sections) and a v2 file
+  // (object index), both cut into 3-row blocks.
+  const auto v1 = EventStoreReader::Open(FixturePath("golden_v1_rpb3.evst"));
+  const auto v2 = EventStoreReader::Open(FixturePath("golden_v2_rpb3.evst"));
   ASSERT_TRUE(v1.ok()) << v1.status();
   ASSERT_TRUE(v2.ok()) << v2.status();
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_FALSE(v1->has_object_index());
+  EXPECT_EQ(v2->version(), 2u);
   EXPECT_TRUE(v2->has_object_index());
+  ASSERT_GT(v1->num_blocks(), 2u);
 
   // Same data, same answers — with and without the index, for full
-  // scans and for point lookups (v1 falls back to min/max pruning).
-  ScanOptions scan;
-  scan.objects = {trajectories[trajectories.size() / 3].object()};
+  // scans and for point lookups.
+  const auto trajectories = GoldenTrajectories();
   const auto v1_all = v1->ReadTrajectories();
   const auto v2_all = v2->ReadTrajectories();
   ASSERT_TRUE(v1_all.ok() && v2_all.ok());
+  ExpectTrajectoriesEqual(trajectories, *v1_all);
   ExpectTrajectoriesEqual(*v1_all, *v2_all);
-  const auto v1_point = v1->ReadTrajectories(scan);
-  const auto v2_point = v2->ReadTrajectories(scan);
-  ASSERT_TRUE(v1_point.ok() && v2_point.ok());
-  ExpectTrajectoriesEqual(*v1_point, *v2_point);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  for (const auto& target : trajectories) {
+    const ScanOptions scan = ScanOptions::ForObject(target.object());
+    const auto v1_point = v1->ReadTrajectories(scan);
+    const auto v2_point = v2->ReadTrajectories(scan);
+    ASSERT_TRUE(v1_point.ok() && v2_point.ok());
+    ExpectTrajectoriesEqual(*v1_point, *v2_point);
+    // v1 falls back to min/max pruning: its candidates are exactly the
+    // blocks whose footer stats admit the object, and the v2 posting
+    // list never needs more.
+    std::vector<std::size_t> min_max;
+    for (std::size_t i = 0; i < v1->num_blocks(); ++i) {
+      if (v1->BlockMatches(i, scan)) min_max.push_back(i);
+    }
+    EXPECT_EQ(v1->CandidateBlocks(scan), min_max);
+    EXPECT_LE(v2->CandidateBlocks(scan).size(), min_max.size());
+  }
 }
 
 TEST(EventStoreObjectIndexTest, ForgedPostingBlockIsCorruption) {
@@ -707,6 +779,77 @@ TEST_F(EventStoreCorruptionTest, EveryByteFlipIsDetected) {
   }
 }
 
+// The truncation and byte-flip sweeps again, over every old-format
+// fixture: a v1 footer with no sections, a v2 section area without
+// bitmaps, and codec-3 (packed+lz) blocks. The fixtures are a few
+// hundred bytes, so every cut and every byte is tried.
+
+TEST_F(EventStoreCorruptionTest, LegacyFixtureTruncationIsCorruption) {
+  for (const LegacyFixture& fixture : kLegacyFixtures) {
+    const std::string bytes = FixtureBytes(fixture.file);
+    ASSERT_FALSE(bytes.empty()) << fixture.file;
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      EXPECT_EQ(OpenAndScan(bytes.substr(0, cut)).code(),
+                StatusCode::kCorruption)
+          << fixture.file << " cut at " << cut;
+    }
+  }
+}
+
+TEST_F(EventStoreCorruptionTest, LegacyFixtureByteFlipsAreCorruption) {
+  for (const LegacyFixture& fixture : kLegacyFixtures) {
+    const std::string bytes = FixtureBytes(fixture.file);
+    ASSERT_FALSE(bytes.empty()) << fixture.file;
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+      std::string flipped = bytes;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ 0x20);
+      EXPECT_EQ(OpenAndScan(flipped).code(), StatusCode::kCorruption)
+          << fixture.file << " undetected flip at byte " << pos;
+    }
+  }
+}
+
+TEST_F(EventStoreCorruptionTest, LegacyFixtureRepairedFlipsNeverMisbehave) {
+  // Flips inside each fixture block with the block and footer checksums
+  // repaired, so the old column layouts and the codec-3 decoder see the
+  // damage themselves: OK (a flip into another valid value) or
+  // Corruption, never UB.
+  for (const LegacyFixture& fixture : kLegacyFixtures) {
+    const std::string bytes = FixtureBytes(fixture.file);
+    const auto reader = EventStoreReader::Open(FixturePath(fixture.file));
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    const std::size_t trailer_at = bytes.size() - kStoreTrailerSize;
+    ByteReader trailer(bytes.data() + trailer_at, kStoreTrailerSize);
+    const std::uint64_t footer_offset = *trailer.ReadU64();
+    const std::uint64_t footer_length = *trailer.ReadU64();
+    for (const BlockMeta& meta : reader->blocks()) {
+      // The block's checksum sits in its footer index entry as a u64.
+      std::string checksum_bytes;
+      PutU64(checksum_bytes, meta.checksum);
+      const std::size_t checksum_at =
+          bytes.find(checksum_bytes, footer_offset);
+      ASSERT_NE(checksum_at, std::string::npos) << fixture.file;
+      for (std::size_t pos = 0; pos < meta.length; ++pos) {
+        std::string forged = bytes;
+        forged[meta.offset + pos] =
+            static_cast<char>(forged[meta.offset + pos] ^ 0x11);
+        std::string fixed;
+        PutU64(fixed, Checksum(std::string_view(forged).substr(
+                          meta.offset, meta.length)));
+        forged.replace(checksum_at, 8, fixed);
+        fixed.clear();
+        PutU64(fixed, Checksum(std::string_view(forged).substr(
+                          footer_offset, footer_length)));
+        forged.replace(trailer_at + 16, 8, fixed);
+        const Status status = OpenAndScan(forged);
+        EXPECT_TRUE(status.ok() || status.code() == StatusCode::kCorruption)
+            << fixture.file << " flip at block byte " << meta.offset + pos
+            << ": " << status;
+      }
+    }
+  }
+}
+
 TEST_F(EventStoreCorruptionTest, MissingFileIsIOError) {
   EXPECT_EQ(EventStoreReader::Open("/nonexistent/store.evst").status().code(),
             StatusCode::kIOError);
@@ -740,6 +883,18 @@ TEST(EventStoreWriterTest, EmptyTraceIsRejected) {
       core::AnnotationSet{{core::AnnotationKind::kActivity, "visit"}})};
   EXPECT_EQ(writer->Append(bad).code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+TEST(EventStoreWriterTest, UnknownCodecIsInvalidArgument) {
+  // Id 3 (packed+lz) is read-only: the writer refuses it like any other
+  // id outside BlockCodec.
+  WriterOptions options;
+  options.codec = static_cast<BlockCodec>(3);
+  EXPECT_EQ(EventStoreWriter::Create(TempPath("codec3.evst"),
+                                     StoreKind::kTrajectories, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 core::SemanticTrajectory OneStayTrajectory(std::int64_t id,
@@ -887,8 +1042,7 @@ TEST(EventStoreCodecTest, EveryCodecRoundTripsRandomDatasets) {
     const auto trajectories = BuildTrajectories(detections);
     for (const std::size_t rows_per_block : {16ul, 512ul, 8192ul}) {
       for (const BlockCodec codec :
-           {BlockCodec::kRaw, BlockCodec::kPacked, BlockCodec::kLz,
-            BlockCodec::kPackedLz}) {
+           {BlockCodec::kRaw, BlockCodec::kPacked, BlockCodec::kLz}) {
         WriterOptions options;
         options.rows_per_block = rows_per_block;
         options.codec = codec;
@@ -922,8 +1076,8 @@ TEST(EventStoreCodecTest, EveryCodecRoundTripsRandomDatasets) {
 
 TEST(EventStoreCodecTest, CompressedCodecsShrinkThePayload) {
   const auto trajectories = BuildTrajectories(SimulatedDetections(8));
-  std::uint64_t payload_bytes[4] = {0, 0, 0, 0};
-  for (int c = 0; c <= 3; ++c) {
+  std::uint64_t payload_bytes[3] = {0, 0, 0};
+  for (int c = 0; c <= 2; ++c) {
     const std::string path = TempPath("codec_size.evst");
     WriterOptions options;
     options.codec = static_cast<BlockCodec>(c);
@@ -935,18 +1089,17 @@ TEST(EventStoreCodecTest, CompressedCodecsShrinkThePayload) {
     payload_bytes[c] = writer->stats().payload_bytes;
     std::remove(path.c_str());
   }
-  // Every compressed codec beats raw; the LZ family beats plain packing
-  // on this workload (the measured ordering the default codec pins).
+  // Every compressed codec beats raw; LZ beats plain packing on this
+  // workload (the measured ordering the default codec pins).
   EXPECT_LT(payload_bytes[1], payload_bytes[0]);
   EXPECT_LT(payload_bytes[2], payload_bytes[1]);
-  EXPECT_LT(payload_bytes[3], payload_bytes[1]);
 }
 
 TEST(EventStoreCodecTest, ParallelCodecEncodingIsByteIdentical) {
   // The determinism contract extends to compressed blocks: encode on 1
   // vs several workers, compare whole files.
   const auto trajectories = BuildTrajectories(SimulatedDetections(6));
-  for (const BlockCodec codec : {BlockCodec::kLz, BlockCodec::kPackedLz}) {
+  for (const BlockCodec codec : {BlockCodec::kPacked, BlockCodec::kLz}) {
     const std::string seq_path = TempPath("codec_seq.evst");
     WriterOptions seq_options;
     seq_options.rows_per_block = 64;
@@ -970,88 +1123,36 @@ TEST(EventStoreCodecTest, ParallelCodecEncodingIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Version compatibility: v3 readers accept v1/v2 files, and the v3
-// writer reproduces the old writers byte for byte.
+// Version compatibility: the reader accepts the checked-in v1/v2 and
+// packed+lz fixtures, and the writer's v3 bytes stay pinned.
 // ---------------------------------------------------------------------------
 
-/// A fixed dataset for the byte-identity goldens: 7 trajectories over 5
-/// objects with shared and distinct annotations, an inferred tuple, and
-/// named transitions. Changing this fixture invalidates the pinned
-/// checksums below — regenerate them rather than editing either alone.
-std::vector<core::SemanticTrajectory> GoldenTrajectories() {
-  std::vector<core::SemanticTrajectory> out;
-  for (int t = 0; t < 7; ++t) {
-    core::Trace trace;
-    const int rows = 2 + (t * 3) % 5;
-    const std::int64_t base = 1000000 + t * 7777;
-    for (int r = 0; r < rows; ++r) {
-      core::PresenceInterval p;
-      p.transition = (r % 3 == 1) ? BoundaryId(40 + r) : BoundaryId();
-      p.cell = CellId((t * 11 + r * 5) % 23);
-      p.interval =
-          qsr::TimeInterval::Make(Timestamp(base + r * 60),
-                                  Timestamp(base + r * 60 + 30 + r))
-              .value();
-      if (r % 2 == 0) {
-        p.annotations.Add({core::AnnotationKind::kActivity, "stop"});
-      } else {
-        p.annotations.Add({core::AnnotationKind::kBehavior, "move"});
-      }
-      if (t % 3 == 0 && r == 0) {
-        p.annotations.Add({core::AnnotationKind::kGoal, "visit"});
-      }
-      if (r % 4 == 3) {
-        p.transition_annotations.Add({core::AnnotationKind::kOther, "door"});
-      }
-      p.inferred = (t == 2 && r == 1);
-      trace.Append(p);
-    }
-    core::AnnotationSet traj_ann;
-    traj_ann.Add({core::AnnotationKind::kActivity, t % 2 ? "tour" : "work"});
-    out.emplace_back(TrajectoryId(t), ObjectId(t % 5), std::move(trace),
-                     std::move(traj_ann));
-  }
-  return out;
-}
-
-TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
-  // The compatibility lever: format_version = 2 must reproduce the old
-  // writers exactly. These checksums were generated by the pre-v3
-  // writer over GoldenTrajectories(); write_object_index = false
-  // downgrades to a version-1 file, covering both old formats.
-  struct Golden {
-    std::size_t rows_per_block;
-    bool object_index;
-    std::uint64_t checksum;
-  };
-  const Golden goldens[] = {
-      {3, true, 0x72c00a0f6e4a2625ull},
-      {3, false, 0x71df166c06b47831ull},
-      {4096, true, 0xc24024e8c4324573ull},
-      {4096, false, 0x6bf1f71ef7d37ad1ull},
-  };
+TEST(EventStoreCompatTest, LegacyFixturesMatchPinnedChecksums) {
+  // Each checked-in fixture still has the bytes the old writer produced
+  // (the checksums once pinned that writer's output), and the current
+  // reader decodes it to GoldenTrajectories().
   const auto trajectories = GoldenTrajectories();
-  for (const Golden& golden : goldens) {
-    WriterOptions options;
-    options.rows_per_block = golden.rows_per_block;
-    options.write_object_index = golden.object_index;
-    options.format_version = 2;
-    const std::string path = TempPath("golden.evst");
-    ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
-    const auto bytes = io::ReadFile(path);
-    ASSERT_TRUE(bytes.ok());
-    EXPECT_EQ(Checksum(*bytes), golden.checksum)
-        << "rpb=" << golden.rows_per_block
-        << " index=" << golden.object_index;
-    // And the v3 reader still consumes the old bytes losslessly.
-    const auto reader = EventStoreReader::Open(path);
+  for (const LegacyFixture& fixture : kLegacyFixtures) {
+    SCOPED_TRACE(fixture.file);
+    const std::string bytes = FixtureBytes(fixture.file);
+    EXPECT_EQ(Checksum(bytes), fixture.checksum);
+    const auto reader = EventStoreReader::Open(FixturePath(fixture.file));
     ASSERT_TRUE(reader.ok()) << reader.status();
-    EXPECT_EQ(reader->version(), golden.object_index ? 2u : 1u);
-    EXPECT_FALSE(reader->has_annotation_bitmaps());
+    EXPECT_EQ(reader->version(), fixture.version);
+    if (fixture.version == 3) {
+      // The only coverage of codec id 3, which the writer no longer
+      // emits: every block must carry it.
+      for (const BlockMeta& meta : reader->blocks()) {
+        EXPECT_EQ(bytes[meta.offset], 3) << "block @" << meta.offset;
+      }
+    }
+    EXPECT_EQ(reader->has_object_index(), fixture.version >= 2);
+    EXPECT_EQ(reader->has_annotation_bitmaps(), fixture.version >= 3);
+    EXPECT_EQ(reader->num_blocks() > 1, fixture.rows_per_block == 3);
+    EXPECT_TRUE(reader->VerifyChecksums().ok());
     const auto restored = reader->ReadTrajectories();
     ASSERT_TRUE(restored.ok()) << restored.status();
     ExpectTrajectoriesEqual(trajectories, *restored);
-    std::remove(path.c_str());
   }
 }
 
@@ -1068,7 +1169,7 @@ std::vector<core::RawDetection> GoldenDetections() {
 }
 
 TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
-  // Every v3 codec's bytes over GoldenTrajectories(), at a block size
+  // Every writable codec's bytes over GoldenTrajectories(), at a block size
   // that splits the fixture and at one that keeps it whole, plus a
   // default-option detection store. An encoder rewrite must reproduce
   // these exactly: readers of existing files and the store-size gate
@@ -1085,8 +1186,6 @@ TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
       {BlockCodec::kPacked, 4096, 0x586e67f22383498aull},
       {BlockCodec::kLz, 3, 0xec1bf504d77067fbull},
       {BlockCodec::kLz, 4096, 0x072c23b292f7add2ull},
-      {BlockCodec::kPackedLz, 3, 0xda80c33ce9ee3f5aull},
-      {BlockCodec::kPackedLz, 4096, 0x7d84d1d311e00d28ull},
   };
   const auto trajectories = GoldenTrajectories();
   for (const Golden& golden : goldens) {
@@ -1108,43 +1207,6 @@ TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(Checksum(*bytes), 0xdefcd3a5a3787f87ull);
   std::remove(path.c_str());
-}
-
-TEST(EventStoreCompatTest, OldVersionsRejectNonRawCodecs) {
-  WriterOptions options;
-  options.format_version = 2;
-  options.codec = BlockCodec::kLz;
-  const std::string path = TempPath("v2_codec.evst");
-  // Create() normalizes the codec away rather than writing a v2 file
-  // with v3 payload framing.
-  auto writer =
-      EventStoreWriter::Create(path, StoreKind::kTrajectories, options);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->Append(GoldenTrajectories()).ok());
-  ASSERT_TRUE(writer->Finish().ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->version(), 2u);
-  const auto restored = reader->ReadTrajectories();
-  ASSERT_TRUE(restored.ok());
-  ExpectTrajectoriesEqual(GoldenTrajectories(), *restored);
-  std::remove(path.c_str());
-}
-
-TEST(EventStoreCompatTest, BadFormatVersionIsInvalidArgument) {
-  WriterOptions options;
-  options.format_version = 4;
-  EXPECT_EQ(EventStoreWriter::Create(TempPath("v4.evst"),
-                                     StoreKind::kTrajectories, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  options.format_version = 0;
-  EXPECT_EQ(EventStoreWriter::Create(TempPath("v0.evst"),
-                                     StoreKind::kTrajectories, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -1336,18 +1398,19 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
 }
 
 TEST(EventStoreAnnotationBitmapTest, DisabledBitmapsFallBackToMaybe) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(13, 40));
-  const std::string path = TempPath("bitmap_off.evst");
-  WriterOptions options;
-  options.write_annotation_bitmaps = false;
-  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
-  const auto reader = EventStoreReader::Open(path);
+  // A v2 file predates the bitmap section.
+  const auto reader = EventStoreReader::Open(FixturePath("golden_v2_rpb3.evst"));
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_FALSE(reader->has_annotation_bitmaps());
-  // Without bitmaps every block answers "maybe" — the sound default.
-  EXPECT_TRUE(reader->BlockMayContainAnnotation(
-      0, core::AnnotationKind::kGoal, "no-such-term"));
-  std::remove(path.c_str());
+  ASSERT_GT(reader->num_blocks(), 1u);
+  // Without bitmaps every block answers "maybe" — the sound default —
+  // for present and absent terms alike.
+  for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
+    EXPECT_TRUE(reader->BlockMayContainAnnotation(
+        i, core::AnnotationKind::kGoal, "no-such-term"));
+    EXPECT_TRUE(reader->BlockMayContainAnnotation(
+        i, core::AnnotationKind::kGoal, "visit"));
+  }
 }
 
 TEST(EventStoreAnnotationBitmapTest, ForgedBitmapSectionIsCorruption) {
